@@ -15,9 +15,10 @@ use loadsteal_sim::{
     replicate, replicate_recorded, EngineKind, SimConfig, StealPolicy, ToSimConfig,
     DEFAULT_HEARTBEAT_EVERY,
 };
+use loadsteal_trace::transient::{self, TailSamples};
 use loadsteal_trace::{
-    read_bytes, transient, MeanFieldPrediction, ReadMode, Timeline, TimelineConfig,
-    TransientAnalysis, TransientOptions,
+    read_into, JobReplay, MeanFieldPrediction, ParsedTrace, ReadMode, TimelineConfig,
+    TimelineReplay, TransientAnalysis, TransientOptions,
 };
 
 use crate::args::Args;
@@ -888,72 +889,63 @@ pub fn stealbench(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `loadsteal report <trace.ndjson>` — reconstruct a timeline from a
-/// trace and compare it against the mean-field prediction.
-pub fn report(a: &Args) -> Result<(), String> {
-    a.ensure_known(&["warmup", "lambda", "model", "input"])?;
-    let path = a.positional(0).or_else(|| a.raw("input")).ok_or(
-        "usage: loadsteal report <trace.ndjson|-> [--lossy] [--warmup T] [--model M] [--lambda λ]",
-    )?;
+/// The one trace an analysis command reads: a path, or `-` for stdin.
+fn trace_path<'a>(a: &'a Args, cmd: &str, flags: &str) -> Result<&'a str, String> {
+    let path = a
+        .positional(0)
+        .or_else(|| a.raw("input"))
+        .ok_or_else(|| format!("usage: loadsteal {cmd} <trace.ndjson|-> [--lossy] {flags}"))?;
     if a.positional(1).is_some() {
-        return Err("report takes exactly one trace file".into());
+        return Err(format!("{cmd} takes exactly one trace file"));
     }
-    // Raw bytes, not read_to_string: a trace with one corrupt region
-    // should still be reportable under --lossy, with the bad lines
-    // diagnosed individually instead of the whole file rejected. `-`
-    // reads stdin so the command pipes directly from
-    // `simulate --trace -` or `stealbench --trace -`.
-    let bytes = if path == "-" {
-        use std::io::Read as _;
-        let mut buf = Vec::new();
-        std::io::stdin()
-            .read_to_end(&mut buf)
-            .map_err(|e| format!("cannot read stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read(path).map_err(|e| format!("cannot read trace {path:?}: {e}"))?
-    };
+    Ok(path)
+}
+
+/// Stream the trace at `path` (`-` reads stdin, so the analyzers pipe
+/// straight from `simulate --trace -` or `stealbench --trace -`) one
+/// line at a time into `sink`. Strict unless `--lossy`, which skips
+/// malformed lines — invalid UTF-8 included — and warns about them.
+/// Returns the trace's non-event records (header, skipped lines).
+fn stream_trace(a: &Args, path: &str, sink: &mut dyn Recorder) -> Result<ParsedTrace, String> {
     let mode = if a.switch("lossy") {
         ReadMode::Lossy
     } else {
         ReadMode::Strict
     };
-    let parsed = read_bytes(&bytes, mode).map_err(|e| format!("{path}: {e} (try --lossy)"))?;
-    if !parsed.skipped.is_empty() {
+    let parsed = if path == "-" {
+        read_into(std::io::stdin().lock(), mode, sink)
+    } else {
+        let file =
+            std::fs::File::open(path).map_err(|e| format!("cannot read trace {path:?}: {e}"))?;
+        read_into(std::io::BufReader::with_capacity(1 << 16, file), mode, sink)
+    }
+    .map_err(|e| format!("{path}: {e} (try --lossy)"))?;
+    if let Some(first) = parsed.skipped.first() {
         eprintln!(
-            "warning: skipped {} of {} lines (first: {})",
+            "warning: skipped {} of {} lines (first: {first})",
             parsed.skipped.len(),
             parsed.lines,
-            parsed.skipped[0]
         );
     }
-    let warmup: f64 = a.get_or("warmup", 0.0)?;
-    let tl = Timeline::build(
-        &parsed.events,
-        &TimelineConfig {
-            warmup,
-            ..TimelineConfig::default()
-        },
-    );
+    Ok(parsed)
+}
 
-    // Mean-field comparison. The model resolves in precedence order:
-    // an explicit --model spec, then --lambda (re-pinning the trace
-    // header's model, or the paper's basic model without one), then the
-    // trace's self-describing header verbatim, and finally the basic
-    // model at the measured arrival rate. A spec with no mean-field
-    // equations or an unstable rate simply drops the prediction columns.
-    let header_spec = parsed
-        .header
-        .as_ref()
-        .and_then(|h| h.model.as_deref())
-        .and_then(|m| match ModelSpec::parse(m) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("warning: ignoring unparseable trace-header model: {e}");
-                None
-            }
-        });
-    let spec = match a.raw("model") {
+/// The model a trace is compared against, in precedence order: an
+/// explicit `--model` spec, then `--lambda` re-pinning the trace
+/// header's model (or the paper's basic model without one), then the
+/// header's model verbatim. `None` when nothing names a model.
+fn trace_model(a: &Args, header: Option<&TraceHeader>) -> Result<Option<ModelSpec>, String> {
+    let header_spec =
+        header
+            .and_then(|h| h.model.as_deref())
+            .and_then(|m| match ModelSpec::parse(m) {
+                Ok(s) => Some(s),
+                Err(e) => {
+                    eprintln!("warning: ignoring unparseable trace-header model: {e}");
+                    None
+                }
+            });
+    Ok(match a.raw("model") {
         Some(model) => {
             let mut text = model.to_owned();
             if let Some(l) = a.get::<f64>("lambda")? {
@@ -966,12 +958,31 @@ pub fn report(a: &Args) -> Result<(), String> {
                 Some(s) => s.with_lambda(l),
                 None => ModelSpec::simple_ws(l),
             }),
-            None => header_spec.or_else(|| {
-                let l = tl.arrival_rate();
-                (l > 0.0 && l < 1.0).then(|| ModelSpec::simple_ws(l))
-            }),
+            None => header_spec,
         },
-    };
+    })
+}
+
+/// `loadsteal report <trace.ndjson>` — reconstruct a timeline from a
+/// trace and compare it against the mean-field prediction.
+pub fn report(a: &Args) -> Result<(), String> {
+    a.ensure_known(&["warmup", "lambda", "model", "input"])?;
+    let path = trace_path(a, "report", "[--warmup T] [--model M] [--lambda λ]")?;
+    let warmup: f64 = a.get_or("warmup", 0.0)?;
+    let mut replay = TimelineReplay::new(&TimelineConfig {
+        warmup,
+        ..TimelineConfig::default()
+    });
+    let parsed = stream_trace(a, path, &mut replay)?;
+    let tl = replay.finish();
+
+    // Mean-field comparison against the trace's model, or the basic
+    // model at the measured arrival rate. A spec with no mean-field
+    // equations or an unstable rate simply drops the prediction columns.
+    let spec = trace_model(a, parsed.header.as_ref())?.or_else(|| {
+        let l = tl.arrival_rate();
+        (l > 0.0 && l < 1.0).then(|| ModelSpec::simple_ws(l))
+    });
     let pred = spec.and_then(|s| {
         let fp = s.fixed_point().ok()?;
         let pi2 = fp.task_tails.get(2).copied().unwrap_or(0.0);
@@ -990,41 +1001,11 @@ pub fn report(a: &Args) -> Result<(), String> {
 /// decomposition, migrated-vs-local comparison, and chain statistics.
 pub fn jobs(a: &Args) -> Result<(), String> {
     a.ensure_known(&["warmup", "input"])?;
-    let path = a
-        .positional(0)
-        .or_else(|| a.raw("input"))
-        .ok_or("usage: loadsteal jobs <trace.ndjson|-> [--lossy] [--warmup T]")?;
-    if a.positional(1).is_some() {
-        return Err("jobs takes exactly one trace file".into());
-    }
-    // `-` reads stdin so the command composes with
-    // `simulate --trace-jobs --trace -` in a single pipe.
-    let bytes = if path == "-" {
-        use std::io::Read as _;
-        let mut buf = Vec::new();
-        std::io::stdin()
-            .read_to_end(&mut buf)
-            .map_err(|e| format!("cannot read stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read(path).map_err(|e| format!("cannot read trace {path:?}: {e}"))?
-    };
-    let mode = if a.switch("lossy") {
-        ReadMode::Lossy
-    } else {
-        ReadMode::Strict
-    };
-    let parsed = read_bytes(&bytes, mode).map_err(|e| format!("{path}: {e} (try --lossy)"))?;
-    if !parsed.skipped.is_empty() {
-        eprintln!(
-            "warning: skipped {} of {} lines (first: {})",
-            parsed.skipped.len(),
-            parsed.lines,
-            parsed.skipped[0]
-        );
-    }
+    let path = trace_path(a, "jobs", "[--warmup T]")?;
     let warmup: f64 = a.get_or("warmup", 0.0)?;
-    let analysis = loadsteal_trace::JobAnalysis::build(&parsed.events, warmup);
+    let mut replay = JobReplay::new(warmup);
+    stream_trace(a, path, &mut replay)?;
+    let analysis = replay.finish();
     if analysis.arrived == 0 {
         eprintln!(
             "warning: trace contains no job_* events — was the run started with --trace-jobs?"
@@ -1060,77 +1041,24 @@ pub fn transient(a: &Args) -> Result<(), String> {
         "epsilon",
         "metrics-json",
     ])?;
-    let path = a.positional(0).or_else(|| a.raw("input")).ok_or(
-        "usage: loadsteal transient <trace.ndjson|-> [--lossy] [--model M] [--lambda λ] \
-         [--n N] [--depth K] [--epsilon ε]",
+    let path = trace_path(
+        a,
+        "transient",
+        "[--model M] [--lambda λ] [--n N] [--depth K] [--epsilon ε]",
     )?;
-    if a.positional(1).is_some() {
-        return Err("transient takes exactly one trace file".into());
-    }
-    let bytes = if path == "-" {
-        use std::io::Read as _;
-        let mut buf = Vec::new();
-        std::io::stdin()
-            .read_to_end(&mut buf)
-            .map_err(|e| format!("cannot read stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read(path).map_err(|e| format!("cannot read trace {path:?}: {e}"))?
-    };
-    let mode = if a.switch("lossy") {
-        ReadMode::Lossy
-    } else {
-        ReadMode::Strict
-    };
-    let parsed = read_bytes(&bytes, mode).map_err(|e| format!("{path}: {e} (try --lossy)"))?;
-    if !parsed.skipped.is_empty() {
-        eprintln!(
-            "warning: skipped {} of {} lines (first: {})",
-            parsed.skipped.len(),
-            parsed.lines,
-            parsed.skipped[0]
-        );
-    }
-
-    let groups = transient::group_by_time(&transient::extract_samples(&parsed.events));
+    let mut samples = TailSamples::default();
+    let parsed = stream_trace(a, path, &mut samples)?;
+    let groups = samples.finish();
     let Some((dt, t_end)) = transient::grid_of(&groups) else {
         println!("no tail samples in trace (run simulate with --sample-tails <dt>)");
         return Ok(());
     };
 
-    // Model resolution mirrors `report`: --model, then --lambda
-    // re-pinning the header spec, then the header verbatim. Unlike
-    // `report` there is no measured-rate fallback to fall back on —
-    // the ODE side *is* the analysis, so an unresolvable model is an
-    // error rather than a dropped column.
-    let header_spec = parsed
-        .header
-        .as_ref()
-        .and_then(|h| h.model.as_deref())
-        .and_then(|m| match ModelSpec::parse(m) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("warning: ignoring unparseable trace-header model: {e}");
-                None
-            }
-        });
-    let spec = match a.raw("model") {
-        Some(model) => {
-            let mut text = model.to_owned();
-            if let Some(l) = a.get::<f64>("lambda")? {
-                text.push_str(&format!(",lambda={l}"));
-            }
-            ModelSpec::parse(&text)?
-        }
-        None => match a.get::<f64>("lambda")? {
-            Some(l) => match header_spec {
-                Some(s) => s.with_lambda(l),
-                None => ModelSpec::simple_ws(l),
-            },
-            None => header_spec
-                .ok_or("trace header carries no model; pass --model <spec> (or --lambda λ)")?,
-        },
-    };
+    // Unlike `report` there is no measured-rate fallback: the ODE side
+    // *is* the analysis, so an unresolvable model is an error rather
+    // than a dropped column.
+    let spec = trace_model(a, parsed.header.as_ref())?
+        .ok_or("trace header carries no model; pass --model <spec> (or --lambda λ)")?;
 
     let model = spec
         .mean_field()

@@ -2,12 +2,13 @@
 //! binary: `--trace`, `--metrics-json`, `--quiet`, and the shape of the
 //! emitted `loadsteal.run.v1` documents.
 //!
-//! The `--metrics-json` checks parse the output with a tiny
-//! recursive-descent JSON parser (below) rather than substring
-//! matching, so malformed escaping or nesting fails loudly.
+//! The `--metrics-json` checks parse the output with the workspace's
+//! JSON parser (`loadsteal_obs::json`) rather than substring matching,
+//! so malformed escaping or nesting fails loudly.
 
-use std::collections::BTreeMap;
 use std::process::{Command, Output};
+
+use loadsteal_obs::json::{self, JsonValue};
 
 fn loadsteal(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_loadsteal"))
@@ -25,214 +26,31 @@ fn stderr(out: &Output) -> String {
 }
 
 // ---------------------------------------------------------------------
-// A minimal JSON parser — just enough to validate the run documents.
+// JSON access over the workspace's own parser.
 
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
+/// Parse one JSON document, failing the test loudly on invalid input.
+fn parse_json(s: &str) -> JsonValue {
+    json::parse(s).unwrap_or_else(|e| panic!("invalid JSON ({e}) in {s:?}"))
 }
 
-impl Json {
-    fn get(&self, key: &str) -> &Json {
-        match self {
-            Json::Obj(m) => m
-                .get(key)
-                .unwrap_or_else(|| panic!("missing key {key:?} in {m:?}")),
-            other => panic!("expected object with key {key:?}, got {other:?}"),
-        }
-    }
-
-    fn obj(&self) -> &BTreeMap<String, Json> {
-        match self {
-            Json::Obj(m) => m,
-            other => panic!("expected object, got {other:?}"),
-        }
-    }
-
-    fn num(&self) -> f64 {
-        match self {
-            Json::Num(v) => *v,
-            other => panic!("expected number, got {other:?}"),
-        }
-    }
-
-    fn str(&self) -> &str {
-        match self {
-            Json::Str(s) => s,
-            other => panic!("expected string, got {other:?}"),
-        }
-    }
+/// The member at `path` (one object key per step).
+fn at<'a>(v: &'a JsonValue, path: &[&str]) -> &'a JsonValue {
+    path.iter().fold(v, |v, key| {
+        v.get(key)
+            .unwrap_or_else(|| panic!("missing key {key:?} of {path:?} in {v:?}"))
+    })
 }
 
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
+fn num(v: &JsonValue, path: &[&str]) -> f64 {
+    let v = at(v, path);
+    v.as_f64()
+        .unwrap_or_else(|| panic!("expected number at {path:?}, got {v:?}"))
 }
 
-fn parse_json(s: &str) -> Json {
-    let mut p = Parser {
-        s: s.as_bytes(),
-        i: 0,
-    };
-    let v = p.value();
-    p.skip_ws();
-    assert_eq!(p.i, p.s.len(), "trailing garbage after JSON value in {s:?}");
-    v
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> u8 {
-        self.skip_ws();
-        *self.s.get(self.i).expect("unexpected end of JSON")
-    }
-
-    fn eat(&mut self, b: u8) {
-        assert_eq!(self.peek(), b, "at byte {}", self.i);
-        self.i += 1;
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Json {
-        self.skip_ws();
-        assert!(
-            self.s[self.i..].starts_with(word.as_bytes()),
-            "at byte {}",
-            self.i
-        );
-        self.i += word.len();
-        v
-    }
-
-    fn value(&mut self) -> Json {
-        match self.peek() {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Json::Str(self.string()),
-            b't' => self.lit("true", Json::Bool(true)),
-            b'f' => self.lit("false", Json::Bool(false)),
-            b'n' => self.lit("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Json {
-        self.eat(b'{');
-        let mut m = BTreeMap::new();
-        if self.peek() == b'}' {
-            self.i += 1;
-            return Json::Obj(m);
-        }
-        loop {
-            self.skip_ws();
-            let k = self.string();
-            self.eat(b':');
-            m.insert(k, self.value());
-            match self.peek() {
-                b',' => self.i += 1,
-                b'}' => {
-                    self.i += 1;
-                    return Json::Obj(m);
-                }
-                other => panic!("expected ',' or '}}', got {:?}", other as char),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Json {
-        self.eat(b'[');
-        let mut v = Vec::new();
-        if self.peek() == b']' {
-            self.i += 1;
-            return Json::Arr(v);
-        }
-        loop {
-            v.push(self.value());
-            match self.peek() {
-                b',' => self.i += 1,
-                b']' => {
-                    self.i += 1;
-                    return Json::Arr(v);
-                }
-                other => panic!("expected ',' or ']', got {:?}", other as char),
-            }
-        }
-    }
-
-    fn string(&mut self) -> String {
-        self.eat(b'"');
-        let mut out = String::new();
-        loop {
-            let b = *self.s.get(self.i).expect("unterminated string");
-            self.i += 1;
-            match b {
-                b'"' => return out,
-                b'\\' => {
-                    let esc = self.s[self.i];
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = std::str::from_utf8(&self.s[self.i..self.i + 4]).unwrap();
-                            self.i += 4;
-                            let code = u32::from_str_radix(hex, 16).expect("bad \\u escape");
-                            out.push(char::from_u32(code).expect("surrogates unsupported"));
-                        }
-                        other => panic!("bad escape \\{:?}", other as char),
-                    }
-                }
-                // The CLI never emits multi-byte UTF-8 in these
-                // documents; treating bytes as chars is fine here.
-                _ => out.push(b as char),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Json {
-        self.skip_ws();
-        let start = self.i;
-        while self.i < self.s.len()
-            && matches!(
-                self.s[self.i],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(&self.s[start..self.i]).unwrap();
-        Json::Num(
-            text.parse()
-                .unwrap_or_else(|_| panic!("bad number {text:?}")),
-        )
-    }
-}
-
-#[test]
-fn json_parser_self_check() {
-    let v = parse_json(r#"{"a":[1,2.5,-3e2],"b":"xA\n","c":{"d":true,"e":null}}"#);
-    assert_eq!(
-        v.get("a"),
-        &Json::Arr(vec![Json::Num(1.0), Json::Num(2.5), Json::Num(-300.0)])
-    );
-    assert_eq!(v.get("b").str(), "xA\n");
-    assert_eq!(v.get("c").get("d"), &Json::Bool(true));
-    assert_eq!(v.get("c").get("e"), &Json::Null);
+fn string<'a>(v: &'a JsonValue, path: &[&str]) -> &'a str {
+    let v = at(v, path);
+    v.as_str()
+        .unwrap_or_else(|| panic!("expected string at {path:?}, got {v:?}"))
 }
 
 // ---------------------------------------------------------------------
@@ -276,29 +94,29 @@ fn metrics_json_stdout_is_one_parseable_document_with_both_layers() {
     );
 
     let doc = parse_json(text.trim_end());
-    assert_eq!(doc.get("schema").str(), "loadsteal.run.v1");
+    assert_eq!(string(&doc, &["schema"]), "loadsteal.run.v1");
 
-    let manifest = doc.get("manifest");
-    assert_eq!(manifest.get("seed").num(), 7.0);
-    assert!(manifest.get("command").str().starts_with("simulate"));
-    assert_eq!(manifest.get("config").get("n").num(), 16.0);
-    assert_eq!(manifest.get("config").get("lambda").num(), 0.7);
+    let manifest = at(&doc, &["manifest"]);
+    assert_eq!(num(manifest, &["seed"]), 7.0);
+    assert!(string(manifest, &["command"]).starts_with("simulate"));
+    assert_eq!(num(manifest, &["config", "n"]), 16.0);
+    assert_eq!(num(manifest, &["config", "lambda"]), 0.7);
 
     // Simulator AND solver counters in the same report.
-    let counters = doc.get("metrics").get("counters").obj();
-    assert!(counters["sim.arrivals"].num() > 0.0);
-    assert!(counters["sim.completions"].num() > 0.0);
-    assert!(counters["sim.steal_attempts"].num() > 0.0);
-    assert_eq!(counters["sim.replicates"].num(), 2.0);
-    assert!(counters["solver.steps_accepted"].num() > 0.0);
-    assert_eq!(counters["solver.integrations"].num(), 1.0);
+    let counters = at(&doc, &["metrics", "counters"]);
+    assert!(num(counters, &["sim.arrivals"]) > 0.0);
+    assert!(num(counters, &["sim.completions"]) > 0.0);
+    assert!(num(counters, &["sim.steal_attempts"]) > 0.0);
+    assert_eq!(num(counters, &["sim.replicates"]), 2.0);
+    assert!(num(counters, &["solver.steps_accepted"]) > 0.0);
+    assert_eq!(num(counters, &["solver.integrations"]), 1.0);
 
-    let gauges = doc.get("metrics").get("gauges").obj();
-    assert!(gauges["sim.mean_sojourn"].num() > 1.0);
-    assert!(gauges["solver.mean_time_in_system"].num() > 1.0);
+    let gauges = at(&doc, &["metrics", "gauges"]);
+    assert!(num(gauges, &["sim.mean_sojourn"]) > 1.0);
+    assert!(num(gauges, &["solver.mean_time_in_system"]) > 1.0);
 
-    let hist = doc.get("metrics").get("histograms").get("sim.run_events");
-    assert_eq!(hist.get("count").num(), 2.0);
+    let hist = at(&doc, &["metrics", "histograms", "sim.run_events"]);
+    assert_eq!(num(hist, &["count"]), 2.0);
 }
 
 #[test]
@@ -315,7 +133,7 @@ fn metrics_json_writes_to_a_file() {
     );
     let text = std::fs::read_to_string(&path).expect("metrics file written");
     let doc = parse_json(text.trim_end());
-    assert_eq!(doc.get("schema").str(), "loadsteal.run.v1");
+    assert_eq!(string(&doc, &["schema"]), "loadsteal.run.v1");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -330,7 +148,7 @@ fn trace_writes_valid_ndjson() {
     let mut lines = 0usize;
     for line in text.lines() {
         let ev = parse_json(line);
-        kinds.insert(ev.get("ev").str().to_owned());
+        kinds.insert(string(&ev, &["ev"]).to_owned());
         lines += 1;
     }
     assert!(lines > 100, "suspiciously short trace: {lines} lines");
@@ -360,7 +178,7 @@ fn quiet_silences_the_narrative() {
     assert!(out.status.success(), "{}", stderr(&out));
     assert_eq!(stderr(&out), "", "narrative should be silenced");
     let doc = parse_json(stdout(&out).trim_end());
-    assert_eq!(doc.get("schema").str(), "loadsteal.run.v1");
+    assert_eq!(string(&doc, &["schema"]), "loadsteal.run.v1");
 }
 
 #[test]
@@ -372,7 +190,7 @@ fn trace_to_stdout_is_pure_ndjson() {
     let mut lines = 0usize;
     for line in text.lines() {
         let ev = parse_json(line);
-        ev.get("ev").str();
+        string(&ev, &["ev"]);
         lines += 1;
     }
     assert!(lines > 100, "suspiciously short trace: {lines} lines");
@@ -401,25 +219,25 @@ fn metrics_json_carries_sojourn_quantile_sketch() {
     let out = loadsteal(&quick_sim_with(&["--quiet", "--metrics-json", "-"]));
     assert!(out.status.success(), "{}", stderr(&out));
     let doc = parse_json(stdout(&out).trim_end());
-    let sketch = doc.get("metrics").get("sketches").get("sim.sojourn_time");
-    assert!(sketch.get("count").num() > 100.0);
+    let sketch = at(&doc, &["metrics", "sketches", "sim.sojourn_time"]);
+    assert!(num(sketch, &["count"]) > 100.0);
     let (p50, p90, p99) = (
-        sketch.get("p50").num(),
-        sketch.get("p90").num(),
-        sketch.get("p99").num(),
+        num(sketch, &["p50"]),
+        num(sketch, &["p90"]),
+        num(sketch, &["p99"]),
     );
     assert!(p50 > 0.0 && p50 <= p90 && p90 <= p99, "{p50} {p90} {p99}");
     // The sketch's mean agrees with the directly measured mean sojourn.
-    let mean = doc.get("metrics").get("gauges").obj()["sim.mean_sojourn"].num();
+    let mean = num(&doc, &["metrics", "gauges", "sim.mean_sojourn"]);
     assert!(
-        (sketch.get("mean").num() - mean).abs() / mean < 0.05,
+        (num(sketch, &["mean"]) - mean).abs() / mean < 0.05,
         "sketch mean {} vs gauge {}",
-        sketch.get("mean").num(),
+        num(sketch, &["mean"]),
         mean
     );
     // Histogram quantiles ride along on every non-empty histogram.
-    let hist = doc.get("metrics").get("histograms").get("sim.run_events");
-    assert!(hist.get("p50").num() > 0.0);
+    let hist = at(&doc, &["metrics", "histograms", "sim.run_events"]);
+    assert!(num(hist, &["p50"]) > 0.0);
 }
 
 #[test]
@@ -475,6 +293,33 @@ fn report_renders_sim_vs_mean_field_table() {
     let out = loadsteal(&["report", path_s, "--warmup", "200", "--lossy"]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stderr(&out).contains("skipped 1"), "{}", stderr(&out));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn jobs_prints_the_same_report_on_every_invocation() {
+    let path = std::env::temp_dir().join("loadsteal_cli_test_jobs.ndjson");
+    let path_s = path.to_str().unwrap();
+    // One run, so job ids are unique and many jobs tie at the longest
+    // chain: the reported example id must not depend on hash order.
+    let out = loadsteal(&quick_sim_with(&[
+        "--runs",
+        "1",
+        "--trace-jobs",
+        "--trace",
+        path_s,
+    ]));
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    let first = loadsteal(&["jobs", path_s, "--warmup", "50"]);
+    assert!(first.status.success(), "{}", stderr(&first));
+    assert!(
+        stdout(&first).contains("longest chain"),
+        "{}",
+        stdout(&first)
+    );
+    let second = loadsteal(&["jobs", path_s, "--warmup", "50"]);
+    assert_eq!(stdout(&first), stdout(&second));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -586,8 +431,8 @@ fn solve_also_emits_a_run_document() {
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
     let doc = parse_json(stdout(&out).trim_end());
-    let counters = doc.get("metrics").get("counters").obj();
-    assert!(counters["solver.steps_accepted"].num() > 0.0);
-    let gauges = doc.get("metrics").get("gauges").obj();
-    assert!(gauges["solver.residual"].num() < 1e-6);
+    let counters = at(&doc, &["metrics", "counters"]);
+    assert!(num(counters, &["solver.steps_accepted"]) > 0.0);
+    let gauges = at(&doc, &["metrics", "gauges"]);
+    assert!(num(gauges, &["solver.residual"]) < 1e-6);
 }

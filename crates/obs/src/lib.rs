@@ -26,14 +26,13 @@
 //!   metrics report into a self-describing artifact.
 //!
 //! Supporting cast: [`json`] is the hand-rolled JSON writer/parser pair
-//! everything serializes through (no serde), [`sketch`] provides
-//! streaming quantile estimators (P² and a mergeable digest), [`prom`]
-//! renders any [`registry::MetricsReport`] in Prometheus text format,
-//! [`timer`] provides scoped wall-clock timers feeding histograms,
-//! [`span`] is the hierarchical span profiler (Chrome-trace and
-//! folded-stack exports), [`flight`] is the crash-safe flight recorder
-//! whose panic hook dumps the recent event ring, and [`log`] is the
-//! `LOADSTEAL_LOG` env-filtered diagnostic logger.
+//! everything serializes through (no serde), [`sketch`] provides a
+//! mergeable streaming quantile digest, [`prom`] renders any
+//! [`registry::MetricsReport`] in Prometheus text format, [`span`] is
+//! the hierarchical span profiler (Chrome-trace and folded-stack
+//! exports), [`flight`] is the crash-safe flight recorder whose panic
+//! hook dumps the recent event ring, and [`log`] is the `LOADSTEAL_LOG`
+//! env-filtered diagnostic logger.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +48,6 @@ pub mod registry;
 pub mod shard;
 pub mod sketch;
 pub mod span;
-pub mod timer;
 
 pub use event::{Event, JobEventKind, SimEventKind, TraceHeader, TAIL_SAMPLE_DEPTH, TRACE_SCHEMA};
 pub use flight::PanicRecord;
@@ -61,6 +59,5 @@ pub use recorder::{
 };
 pub use registry::{Counter, Gauge, Histogram, MetricsReport, Registry, ShardedCounter, Sketch};
 pub use shard::{ShardSink, ShardedRecorder};
-pub use sketch::{Digest, P2Quantile};
+pub use sketch::Digest;
 pub use span::{ProfileReport, SpanAggregate, SpanGuard, SpanInstance, SpanRecord, ThreadProfile};
-pub use timer::{ScopedTimer, Stopwatch};

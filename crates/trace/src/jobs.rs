@@ -19,7 +19,7 @@
 //! wait     =  (service_start − arrival) − transfer
 //! ```
 //!
-//! [`JobAnalysis::build`] replays a trace into this decomposition plus
+//! [`JobReplay`] replays an event stream into this decomposition plus
 //! migration-chain statistics (hops per job, chain shape, per-hop
 //! delays) and migrated-vs-local sojourn distributions — the
 //! measurement side of the paper's claim that stealing trades a little
@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 
-use loadsteal_obs::{Digest, Event, JobEventKind};
+use loadsteal_obs::{Digest, Event, JobEventKind, Recorder};
 
 /// One migration hop in a job's causal chain.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,7 +152,7 @@ pub struct JobAnalysis {
     pub hops: u64,
     /// Longest migration chain (hops) seen on a completed job.
     pub longest_chain: u64,
-    /// Ids of an example job attaining `longest_chain` (first seen).
+    /// Id of an example job attaining `longest_chain` (the smallest).
     pub longest_chain_job: Option<u64>,
     /// Queue-wait component distribution.
     pub wait: Digest,
@@ -176,126 +176,44 @@ pub struct JobAnalysis {
     pub warmup: f64,
 }
 
-impl JobAnalysis {
-    /// Replay `events` into per-job timelines and aggregate the
-    /// decomposition over jobs completing at or after `warmup`.
-    pub fn build(events: &[Event], warmup: f64) -> Self {
-        let (analysis, _) = Self::build_with_records(events, warmup);
-        analysis
+/// The streaming form of [`JobAnalysis::build`]: a [`Recorder`] folding
+/// each `job_*` event into its job's record (other events are ignored)
+/// and aggregating at [`finish`](Self::finish).
+#[derive(Debug, Clone, Default)]
+pub struct JobReplay {
+    warmup: f64,
+    jobs: HashMap<u64, JobRecord>,
+    anomalies: JobAnomalies,
+}
+
+impl JobReplay {
+    /// An empty replay aggregating jobs that complete at or after
+    /// `warmup`.
+    pub fn new(warmup: f64) -> Self {
+        Self {
+            warmup,
+            ..Self::default()
+        }
     }
 
-    /// As [`build`](Self::build), additionally returning the raw
-    /// per-job records (keyed by job id) for callers that need the
-    /// individual timelines — tests, invariant checks, drill-downs.
-    pub fn build_with_records(events: &[Event], warmup: f64) -> (Self, HashMap<u64, JobRecord>) {
-        let mut jobs: HashMap<u64, JobRecord> = HashMap::new();
-        let mut an = JobAnomalies::default();
+    /// The aggregates.
+    pub fn finish(self) -> JobAnalysis {
+        self.finish_with_records().0
+    }
 
-        for ev in events {
-            let Event::Job {
-                kind,
-                t,
-                job,
-                proc,
-                src,
-                delay,
-            } = *ev
-            else {
-                continue;
-            };
-            match kind {
-                JobEventKind::Arrival => {
-                    let rec = jobs.entry(job).or_default();
-                    if rec.arrival_t.is_some() {
-                        an.duplicate_arrivals += 1;
-                        rec.anomalous = true;
-                    } else {
-                        rec.arrival_t = Some(t);
-                        rec.arrival_proc = proc;
-                    }
-                }
-                JobEventKind::Migrate => {
-                    let rec = match jobs.get_mut(&job) {
-                        Some(r) if r.arrival_t.is_some() => r,
-                        _ => {
-                            an.orphan_events += 1;
-                            continue;
-                        }
-                    };
-                    if rec.service_start_t.is_some() {
-                        an.migrations_after_service += 1;
-                        rec.anomalous = true;
-                    }
-                    let from = src.unwrap_or(rec.location());
-                    if from != rec.location() {
-                        an.chain_breaks += 1;
-                        rec.anomalous = true;
-                    }
-                    let last_t = rec.hops.last().map_or(rec.arrival_t.unwrap(), |h| h.t);
-                    if t < last_t {
-                        an.time_regressions += 1;
-                        rec.anomalous = true;
-                    }
-                    rec.hops.push(Hop {
-                        t,
-                        src: from,
-                        dst: proc,
-                        delay,
-                    });
-                }
-                JobEventKind::ServiceStart => {
-                    let rec = match jobs.get_mut(&job) {
-                        Some(r) if r.arrival_t.is_some() => r,
-                        _ => {
-                            an.orphan_events += 1;
-                            continue;
-                        }
-                    };
-                    if rec.service_start_t.is_some() {
-                        an.duplicate_service_starts += 1;
-                        rec.anomalous = true;
-                        continue;
-                    }
-                    let last_t = rec.hops.last().map_or(rec.arrival_t.unwrap(), |h| h.t);
-                    if t < last_t {
-                        an.time_regressions += 1;
-                        rec.anomalous = true;
-                    }
-                    rec.service_start_t = Some(t);
-                    rec.service_proc = proc;
-                }
-                JobEventKind::Completion => {
-                    let rec = match jobs.get_mut(&job) {
-                        Some(r) if r.arrival_t.is_some() => r,
-                        _ => {
-                            an.orphan_events += 1;
-                            continue;
-                        }
-                    };
-                    if rec.completion_t.is_some() {
-                        an.duplicate_completions += 1;
-                        rec.anomalous = true;
-                        continue;
-                    }
-                    match rec.service_start_t {
-                        Some(s) if t >= s => {}
-                        _ => {
-                            an.time_regressions += 1;
-                            rec.anomalous = true;
-                        }
-                    }
-                    rec.completion_t = Some(t);
-                    rec.completion_proc = proc;
-                }
-            }
-        }
-
+    /// The aggregates plus the raw per-job records (keyed by job id).
+    /// Jobs are aggregated in ascending id — arrival order — so the
+    /// result does not depend on hash order.
+    pub fn finish_with_records(self) -> (JobAnalysis, HashMap<u64, JobRecord>) {
         let mut out = JobAnalysis {
-            warmup,
-            anomalies: an,
+            warmup: self.warmup,
+            anomalies: self.anomalies,
             ..JobAnalysis::default()
         };
-        for (&id, rec) in &jobs {
+        let mut ids: Vec<u64> = self.jobs.keys().copied().collect();
+        ids.sort_unstable();
+        for id in ids {
+            let rec = &self.jobs[&id];
             if rec.arrival_t.is_some() {
                 out.arrived += 1;
             }
@@ -303,7 +221,7 @@ impl JobAnalysis {
                 continue;
             };
             let completion = rec.completion_t.unwrap();
-            if completion < warmup {
+            if completion < self.warmup {
                 continue;
             }
             // A consistent lifecycle can still have a (numerically)
@@ -330,7 +248,134 @@ impl JobAnalysis {
                 }
             }
         }
-        (out, jobs)
+        (out, self.jobs)
+    }
+}
+
+/// The record of `job`, once its arrival has been seen; every later
+/// stage without one is counted as an orphan.
+fn arrived<'a>(
+    jobs: &'a mut HashMap<u64, JobRecord>,
+    an: &mut JobAnomalies,
+    job: u64,
+) -> Option<&'a mut JobRecord> {
+    match jobs.get_mut(&job) {
+        Some(r) if r.arrival_t.is_some() => Some(r),
+        _ => {
+            an.orphan_events += 1;
+            None
+        }
+    }
+}
+
+impl Recorder for JobReplay {
+    fn record(&mut self, ev: &Event) {
+        let Event::Job {
+            kind,
+            t,
+            job,
+            proc,
+            src,
+            delay,
+        } = *ev
+        else {
+            return;
+        };
+        let Self {
+            jobs,
+            anomalies: an,
+            ..
+        } = self;
+        match kind {
+            JobEventKind::Arrival => {
+                let rec = jobs.entry(job).or_default();
+                if rec.arrival_t.is_some() {
+                    an.duplicate_arrivals += 1;
+                    rec.anomalous = true;
+                } else {
+                    rec.arrival_t = Some(t);
+                    rec.arrival_proc = proc;
+                }
+            }
+            JobEventKind::Migrate => {
+                let Some(rec) = arrived(jobs, an, job) else {
+                    return;
+                };
+                if rec.service_start_t.is_some() {
+                    an.migrations_after_service += 1;
+                    rec.anomalous = true;
+                }
+                let from = src.unwrap_or(rec.location());
+                if from != rec.location() {
+                    an.chain_breaks += 1;
+                    rec.anomalous = true;
+                }
+                let last_t = rec.hops.last().map_or(rec.arrival_t.unwrap(), |h| h.t);
+                if t < last_t {
+                    an.time_regressions += 1;
+                    rec.anomalous = true;
+                }
+                rec.hops.push(Hop {
+                    t,
+                    src: from,
+                    dst: proc,
+                    delay,
+                });
+            }
+            JobEventKind::ServiceStart => {
+                let Some(rec) = arrived(jobs, an, job) else {
+                    return;
+                };
+                if rec.service_start_t.is_some() {
+                    an.duplicate_service_starts += 1;
+                    rec.anomalous = true;
+                    return;
+                }
+                let last_t = rec.hops.last().map_or(rec.arrival_t.unwrap(), |h| h.t);
+                if t < last_t {
+                    an.time_regressions += 1;
+                    rec.anomalous = true;
+                }
+                rec.service_start_t = Some(t);
+                rec.service_proc = proc;
+            }
+            JobEventKind::Completion => {
+                let Some(rec) = arrived(jobs, an, job) else {
+                    return;
+                };
+                if rec.completion_t.is_some() {
+                    an.duplicate_completions += 1;
+                    rec.anomalous = true;
+                    return;
+                }
+                match rec.service_start_t {
+                    Some(s) if t >= s => {}
+                    _ => {
+                        an.time_regressions += 1;
+                        rec.anomalous = true;
+                    }
+                }
+                rec.completion_t = Some(t);
+                rec.completion_proc = proc;
+            }
+        }
+    }
+}
+
+impl JobAnalysis {
+    /// Replay `events` into per-job timelines and aggregate the
+    /// decomposition over jobs completing at or after `warmup`.
+    pub fn build(events: &[Event], warmup: f64) -> Self {
+        Self::build_with_records(events, warmup).0
+    }
+
+    /// As [`build`](Self::build), additionally returning the raw
+    /// per-job records (keyed by job id) for callers that need the
+    /// individual timelines — tests, invariant checks, drill-downs.
+    pub fn build_with_records(events: &[Event], warmup: f64) -> (Self, HashMap<u64, JobRecord>) {
+        let mut replay = JobReplay::new(warmup);
+        events.iter().for_each(|ev| replay.record(ev));
+        replay.finish_with_records()
     }
 
     /// Fraction of completed jobs that migrated at least once.
@@ -715,6 +760,40 @@ mod tests {
             if dropped > 0 {
                 assert!(a.completed <= 40);
             }
+        }
+    }
+
+    #[test]
+    fn aggregation_does_not_depend_on_hash_order() {
+        // 64 jobs, emitted in descending id; every odd id ties at the
+        // longest chain (two hops). Each build hashes afresh, so an
+        // answer that followed hash order would wander between builds.
+        let mut events = Vec::new();
+        for id in (0..64u64).rev() {
+            let t = id as f64;
+            events.push(job(JobEventKind::Arrival, t, id, 0));
+            events.push(migrate(t + 0.5, id, 1, 0, 0.125));
+            let mut at = 1;
+            if id % 2 == 1 {
+                events.push(migrate(t + 0.75, id, 2, 1, 0.25));
+                at = 2;
+            }
+            events.push(job(
+                JobEventKind::ServiceStart,
+                t + 1.0 / (id + 3) as f64 + 1.0,
+                id,
+                at,
+            ));
+            events.push(job(JobEventKind::Completion, t + 3.0, id, at));
+        }
+        let first = JobAnalysis::build(&events, 0.0);
+        assert_eq!(first.longest_chain, 2);
+        for _ in 0..4 {
+            let a = JobAnalysis::build(&events, 0.0);
+            // The smallest id reaching the maximum: the first to arrive.
+            assert_eq!(a.longest_chain_job, Some(1));
+            assert_eq!(a.wait.mean().to_bits(), first.wait.mean().to_bits());
+            assert_eq!(a.sojourn.mean().to_bits(), first.sojourn.mean().to_bits());
         }
     }
 

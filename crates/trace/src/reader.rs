@@ -12,11 +12,18 @@
 //! * [`ReadMode::Lossy`] — malformed lines are skipped and collected as
 //!   [`TraceDiagnostic`]s, so a truncated or concatenated trace still
 //!   yields its parseable prefix/suffix.
+//!
+//! The one reader loop, [`read_into`], parses any [`BufRead`] a line at
+//! a time into a [`Recorder`] (typically an analyzer), so memory does
+//! not grow with the trace. [`read_bytes`], [`read_str`] and
+//! [`read_lines`] run it to collect every event into a [`ParsedTrace`].
+
+use std::io::BufRead;
 
 use loadsteal_obs::json::{parse, JsonValue};
 use loadsteal_obs::{
-    Event, JobEventKind, PanicRecord, SimEventKind, SpanRecord, TraceHeader, TAIL_SAMPLE_DEPTH,
-    TRACE_SCHEMA,
+    CollectingRecorder, Event, JobEventKind, PanicRecord, Recorder, SimEventKind, SpanRecord,
+    TraceHeader, TAIL_SAMPLE_DEPTH, TRACE_SCHEMA,
 };
 
 /// How to treat malformed lines.
@@ -28,7 +35,8 @@ pub enum ReadMode {
     Lossy,
 }
 
-/// A fatal parse failure (strict mode).
+/// A fatal parse failure (strict mode), or a failed read of the input
+/// (either mode).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceError {
     /// 1-based line number of the offending line.
@@ -63,7 +71,9 @@ pub struct ParsedTrace {
     /// concatenated traces the *first* header wins; later header lines
     /// still count toward [`ParsedTrace::lines`].
     pub header: Option<TraceHeader>,
-    /// Every successfully parsed event, in input order.
+    /// Every successfully parsed event, in input order. Empty when the
+    /// trace was streamed through [`read_into`], which hands the events
+    /// to its recorder instead.
     pub events: Vec<Event>,
     /// Lines skipped in lossy mode (always empty in strict mode —
     /// strict fails instead).
@@ -92,111 +102,88 @@ pub enum Record {
     Panic(PanicRecord),
 }
 
-impl ParsedTrace {
-    /// Fold one parsed record in (events append; the first header
-    /// wins).
-    fn absorb(&mut self, record: Record) {
+/// Stream NDJSON from `input` one line at a time, handing every event
+/// to `sink` in input order. The returned [`ParsedTrace`] carries
+/// everything else the trace held (header, spans, panics, skipped
+/// lines, line count); its `events` stays empty.
+///
+/// Lines are split on `\n` (a trailing `\r` is trimmed, so CRLF traces
+/// work) and blank lines are skipped in both modes. A line that is not
+/// valid UTF-8 is reported with the 1-based byte column of the first
+/// invalid byte — in strict mode as the fatal [`TraceError`], in lossy
+/// mode as a diagnostic while every decodable line still parses. A
+/// failed read of `input` is fatal in both modes.
+pub fn read_into(
+    mut input: impl BufRead,
+    mode: ReadMode,
+    sink: &mut dyn Recorder,
+) -> Result<ParsedTrace, TraceError> {
+    let mut out = ParsedTrace::default();
+    let mut buf = Vec::new();
+    for line_no in 1.. {
+        buf.clear();
+        let read = input.read_until(b'\n', &mut buf).map_err(|e| TraceError {
+            line: line_no,
+            column: 1,
+            message: format!("cannot read input: {e}"),
+        })?;
+        if read == 0 {
+            break;
+        }
+        let raw = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
+        let record = match std::str::from_utf8(raw) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => parse_record(line),
+            Err(e) => Err((e.valid_up_to() + 1, "invalid UTF-8".to_owned())),
+        };
+        out.lines += 1;
         match record {
-            Record::Event(ev) => self.events.push(ev),
-            Record::Header(h) => {
-                if self.header.is_none() {
-                    self.header = Some(h);
+            Ok(Record::Event(ev)) => sink.record(&ev),
+            Ok(Record::Header(h)) => {
+                out.header.get_or_insert(h);
+            }
+            Ok(Record::Span(s)) => out.spans.push(s),
+            Ok(Record::Panic(p)) => out.panics.push(p),
+            Err((column, message)) => {
+                let diag = TraceError {
+                    line: line_no,
+                    column,
+                    message,
+                };
+                match mode {
+                    ReadMode::Strict => return Err(diag),
+                    ReadMode::Lossy => out.skipped.push(diag),
                 }
             }
-            Record::Span(s) => self.spans.push(s),
-            Record::Panic(p) => self.panics.push(p),
         }
     }
+    Ok(out)
+}
+
+/// Parse a raw byte buffer (e.g. straight from [`std::fs::read`])
+/// without requiring the whole file to be valid UTF-8, collecting every
+/// event. Same line rules as [`read_into`].
+pub fn read_bytes(bytes: &[u8], mode: ReadMode) -> Result<ParsedTrace, TraceError> {
+    let mut events = CollectingRecorder::new();
+    let trace = read_into(bytes, mode, &mut events)?;
+    Ok(ParsedTrace {
+        events: events.into_events(),
+        ..trace
+    })
 }
 
 /// Parse a complete NDJSON document held in memory.
 pub fn read_str(text: &str, mode: ReadMode) -> Result<ParsedTrace, TraceError> {
-    read_lines(text.lines(), mode)
+    read_bytes(text.as_bytes(), mode)
 }
 
-/// Parse a raw byte buffer (e.g. straight from [`std::fs::read`])
-/// without requiring the whole file to be valid UTF-8.
-///
-/// Lines are split on `\n` (a trailing `\r` is trimmed, so CRLF traces
-/// work). A line that is not valid UTF-8 is reported with the 1-based
-/// byte column of the first invalid byte — in strict mode as the fatal
-/// [`TraceError`], in lossy mode as a diagnostic while every decodable
-/// line still parses. This keeps a trace with one corrupt region
-/// readable instead of failing wholesale the way
-/// `String::from_utf8(file)?` would.
-pub fn read_bytes(bytes: &[u8], mode: ReadMode) -> Result<ParsedTrace, TraceError> {
-    let mut out = ParsedTrace::default();
-    for (idx, raw) in bytes.split(|&b| b == b'\n').enumerate() {
-        let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
-        let line = match std::str::from_utf8(raw) {
-            Ok(line) => line,
-            Err(e) => {
-                out.lines += 1;
-                let diag = TraceError {
-                    line: idx + 1,
-                    column: e.valid_up_to() + 1,
-                    message: "invalid UTF-8".to_owned(),
-                };
-                match mode {
-                    ReadMode::Strict => return Err(diag),
-                    ReadMode::Lossy => {
-                        out.skipped.push(diag);
-                        continue;
-                    }
-                }
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.lines += 1;
-        match parse_record(line) {
-            Ok(record) => out.absorb(record),
-            Err((column, message)) => {
-                let diag = TraceError {
-                    line: idx + 1,
-                    column,
-                    message,
-                };
-                match mode {
-                    ReadMode::Strict => return Err(diag),
-                    ReadMode::Lossy => out.skipped.push(diag),
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Parse from any iterator of lines (e.g. `BufRead::lines()` output
-/// already unwrapped, or `str::lines`). Blank lines are skipped in both
-/// modes — NDJSON writers commonly end with a trailing newline.
+/// Parse from any iterator of lines (e.g. `str::lines` output).
 pub fn read_lines<'a, I>(lines: I, mode: ReadMode) -> Result<ParsedTrace, TraceError>
 where
     I: IntoIterator<Item = &'a str>,
 {
-    let mut out = ParsedTrace::default();
-    for (idx, line) in lines.into_iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.lines += 1;
-        match parse_record(line) {
-            Ok(record) => out.absorb(record),
-            Err((column, message)) => {
-                let diag = TraceError {
-                    line: idx + 1,
-                    column,
-                    message,
-                };
-                match mode {
-                    ReadMode::Strict => return Err(diag),
-                    ReadMode::Lossy => out.skipped.push(diag),
-                }
-            }
-        }
-    }
-    Ok(out)
+    read_str(&lines.into_iter().collect::<Vec<_>>().join("\n"), mode)
 }
 
 /// Parse one NDJSON line into an event. Header lines are an error

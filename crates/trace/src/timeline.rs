@@ -18,7 +18,7 @@
 //! analysis; [`Timeline::replicates`] reports how many runs the trace
 //! contains.
 
-use loadsteal_obs::{Event, SimEventKind};
+use loadsteal_obs::{Event, Recorder, SimEventKind};
 
 /// Parameters for timeline reconstruction.
 #[derive(Debug, Clone)]
@@ -109,7 +109,7 @@ impl SolverSummary {
 
 /// The reconstructed run: phases, queue statistics, and derived
 /// measurements.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
     /// Number of processors seen (`max(proc, src) + 1` over sim
     /// events; 0 for solver-only traces).
@@ -161,277 +161,157 @@ struct DepthCell {
     last_update: f64,
 }
 
-impl Timeline {
-    /// Replay `events` into a timeline.
-    pub fn build(events: &[Event], cfg: &TimelineConfig) -> Self {
+impl DepthCell {
+    /// Settle this processor's own integrals up to `t`.
+    fn settle(&mut self, t: f64, warmup: f64) {
+        if t > warmup {
+            let since = self.last_update.max(warmup);
+            if t > since {
+                self.depth_integral += self.depth as f64 * (t - since);
+                if self.depth > 0 {
+                    self.busy_integral += t - since;
+                }
+            }
+        }
+        self.last_update = t;
+    }
+}
+
+/// The streaming form of [`Timeline::build`]: a [`Recorder`] replaying
+/// each event as it arrives, in O(processors + depths) state whatever
+/// the trace length; [`finish`](Self::finish) yields the [`Timeline`].
+#[derive(Debug, Clone)]
+pub struct TimelineReplay {
+    tl: Timeline,
+    steady_tolerance: f64,
+    cells: Vec<DepthCell>,
+    // counts_at_depth[d] = processors currently at depth d, with a
+    // lazily settled time integral per depth (the LoadHistogram trick:
+    // only the depths an event touches are settled, so the replay stays
+    // O(1) per event).
+    depth_counts: Vec<u64>,
+    depth_integrals: Vec<f64>,
+    depth_last: Vec<f64>,
+    /// Σ of the settled depth-0 intervals: the idle time back-filled
+    /// for a processor when it first appears.
+    depth0_settled: f64,
+}
+
+impl TimelineReplay {
+    /// An empty replay measuring from `cfg.warmup`.
+    pub fn new(cfg: &TimelineConfig) -> Self {
         let warmup = cfg.warmup;
-        let mut n_procs = 0usize;
-        for ev in events {
-            if let Event::Sim { proc, src, .. } = ev {
-                n_procs = n_procs
-                    .max(*proc as usize + 1)
-                    .max(src.map_or(0, |s| s as usize + 1));
-            }
+        Self {
+            tl: Timeline {
+                start: f64::INFINITY,
+                end: f64::NEG_INFINITY,
+                warmup,
+                ..Timeline::default()
+            },
+            steady_tolerance: cfg.steady_tolerance,
+            cells: Vec::new(),
+            depth_counts: vec![0; 8],
+            depth_integrals: vec![0.0; 8],
+            depth_last: vec![warmup; 8],
+            depth0_settled: 0.0,
         }
+    }
 
-        let mut tl = Timeline {
-            n_procs,
-            start: f64::INFINITY,
-            end: f64::NEG_INFINITY,
-            warmup,
-            counts: EventCounts::default(),
-            measured: EventCounts::default(),
-            per_proc: vec![ProcTimeline::default(); n_procs],
-            tails: Vec::new(),
-            mean_tasks: 0.0,
-            solver: SolverSummary::default(),
-            heartbeats: Vec::new(),
-            replicates: 0,
-            depth_underflows: 0,
-            sourceless_migrations: 0,
-            steady_at: None,
+    /// Processors are numbered densely: seeing `p` means `0..=p` exist,
+    /// each idle at depth 0 since the start.
+    fn grow(&mut self, n_procs: usize) {
+        let new = n_procs.saturating_sub(self.cells.len());
+        if new == 0 {
+            return;
+        }
+        self.depth_integrals[0] += new as f64 * self.depth0_settled;
+        self.depth_counts[0] += new as u64;
+        let fresh = DepthCell {
+            last_update: self.tl.warmup,
+            ..DepthCell::default()
         };
+        self.cells.resize(n_procs, fresh);
+        self.tl.per_proc.resize(n_procs, ProcTimeline::default());
+        self.tl.n_procs = n_procs;
+    }
 
-        let mut cells = vec![DepthCell::default(); n_procs];
-        for c in &mut cells {
-            c.last_update = warmup;
+    fn settle(&mut self, d: usize, t: f64) {
+        let warmup = self.tl.warmup;
+        if d >= self.depth_counts.len() {
+            self.depth_counts.resize(d + 1, 0);
+            self.depth_integrals.resize(d + 1, 0.0);
+            self.depth_last.resize(d + 1, warmup);
         }
-        // counts_at_depth[d] = processors currently at depth d, with a
-        // lazily settled time integral per depth (the LoadHistogram
-        // trick: only the depths an event touches are settled, so the
-        // replay stays O(1) per event).
-        let mut depth_counts: Vec<u64> = vec![0; 8];
-        if n_procs > 0 {
-            depth_counts[0] = n_procs as u64;
-        }
-        let mut depth_integrals: Vec<f64> = vec![0.0; depth_counts.len()];
-        let mut depth_last: Vec<f64> = vec![warmup; depth_counts.len()];
-
-        let settle = |d: usize,
-                      t: f64,
-                      counts: &mut Vec<u64>,
-                      integrals: &mut Vec<f64>,
-                      last: &mut Vec<f64>| {
-            if d >= counts.len() {
-                counts.resize(d + 1, 0);
-                integrals.resize(d + 1, 0.0);
-                last.resize(d + 1, warmup);
-            }
-            if t > warmup {
-                let since = last[d].max(warmup);
-                if t > since {
-                    integrals[d] += counts[d] as f64 * (t - since);
+        if t > warmup {
+            let since = self.depth_last[d].max(warmup);
+            if t > since {
+                self.depth_integrals[d] += self.depth_counts[d] as f64 * (t - since);
+                if d == 0 {
+                    self.depth0_settled += t - since;
                 }
             }
-            last[d] = t;
-        };
+        }
+        self.depth_last[d] = t;
+    }
 
-        let mut adjust = |p: usize, delta: i64, t: f64, tl: &mut Timeline| {
-            let cell = &mut cells[p];
-            // Settle this processor's own integrals up to t.
-            if t > warmup {
-                let since = cell.last_update.max(warmup);
-                if t > since {
-                    cell.depth_integral += cell.depth as f64 * (t - since);
-                    if cell.depth > 0 {
-                        cell.busy_integral += t - since;
-                    }
-                }
-            }
-            cell.last_update = t;
-            let from = cell.depth as usize;
-            let to = if delta >= 0 {
-                cell.depth + delta as u64
+    fn adjust(&mut self, p: usize, delta: i64, t: f64) {
+        let warmup = self.tl.warmup;
+        let cell = &mut self.cells[p];
+        cell.settle(t, warmup);
+        let from = cell.depth as usize;
+        let to = if delta >= 0 {
+            cell.depth + delta as u64
+        } else {
+            let dec = (-delta) as u64;
+            if cell.depth < dec {
+                self.tl.depth_underflows += dec - cell.depth;
+                0
             } else {
-                let dec = (-delta) as u64;
-                if cell.depth < dec {
-                    tl.depth_underflows += dec - cell.depth;
-                    0
-                } else {
-                    cell.depth - dec
-                }
-            };
-            cell.depth = to;
-            let to = to as usize;
-            if from != to {
-                settle(
-                    from,
-                    t,
-                    &mut depth_counts,
-                    &mut depth_integrals,
-                    &mut depth_last,
-                );
-                settle(
-                    to,
-                    t,
-                    &mut depth_counts,
-                    &mut depth_integrals,
-                    &mut depth_last,
-                );
-                depth_counts[from] = depth_counts[from].saturating_sub(1);
-                depth_counts[to] += 1;
+                cell.depth - dec
             }
         };
-
-        for ev in events {
-            match *ev {
-                Event::Sim {
-                    kind,
-                    t,
-                    proc,
-                    src,
-                    count,
-                } => {
-                    tl.start = tl.start.min(t);
-                    tl.end = tl.end.max(t);
-                    let measured = t >= warmup;
-                    let p = proc as usize;
-                    match kind {
-                        SimEventKind::Arrival => {
-                            tl.counts.arrivals += 1;
-                            tl.per_proc[p].arrivals += 1;
-                            if measured {
-                                tl.measured.arrivals += 1;
-                            }
-                            adjust(p, 1, t, &mut tl);
-                        }
-                        SimEventKind::Completion => {
-                            tl.counts.completions += 1;
-                            tl.per_proc[p].completions += 1;
-                            if measured {
-                                tl.measured.completions += 1;
-                            }
-                            adjust(p, -1, t, &mut tl);
-                        }
-                        SimEventKind::StealAttempt => {
-                            tl.counts.steal_attempts += 1;
-                            tl.per_proc[p].steal_attempts += 1;
-                            if measured {
-                                tl.measured.steal_attempts += 1;
-                            }
-                        }
-                        SimEventKind::StealSuccess => {
-                            tl.counts.steal_successes += 1;
-                            tl.per_proc[p].steal_successes += 1;
-                            if measured {
-                                tl.measured.steal_successes += 1;
-                            }
-                        }
-                        SimEventKind::Migration => {
-                            tl.counts.migrations += 1;
-                            tl.counts.tasks_migrated += count as u64;
-                            tl.per_proc[p].tasks_in += count as u64;
-                            if measured {
-                                tl.measured.migrations += 1;
-                                tl.measured.tasks_migrated += count as u64;
-                            }
-                            adjust(p, count as i64, t, &mut tl);
-                            if let Some(s) = src {
-                                let s = s as usize;
-                                tl.per_proc[s].tasks_out += count as u64;
-                                adjust(s, -(count as i64), t, &mut tl);
-                            } else {
-                                tl.sourceless_migrations += 1;
-                            }
-                        }
-                    }
-                }
-                Event::Heartbeat {
-                    t,
-                    events,
-                    tasks_in_system,
-                } => {
-                    tl.start = tl.start.min(t);
-                    tl.end = tl.end.max(t);
-                    tl.counts.heartbeats += 1;
-                    if t >= warmup {
-                        tl.measured.heartbeats += 1;
-                    }
-                    tl.heartbeats.push((t, events, tasks_in_system));
-                }
-                Event::SolverStep { accepted, .. } => {
-                    if accepted {
-                        tl.solver.steps_accepted += 1;
-                    } else {
-                        tl.solver.steps_rejected += 1;
-                    }
-                }
-                Event::SolverSteady { t, residual } => {
-                    tl.solver.residuals.push((t, residual));
-                }
-                Event::SolverDone {
-                    accepted,
-                    rejected,
-                    converged,
-                    residual,
-                    ..
-                } => {
-                    // Per-step events may be absent (the solver can be
-                    // traced summary-only); trust the totals.
-                    tl.solver.steps_accepted = tl.solver.steps_accepted.max(accepted);
-                    tl.solver.steps_rejected = tl.solver.steps_rejected.max(rejected);
-                    tl.solver.converged = Some(converged);
-                    tl.solver.final_residual = Some(residual);
-                }
-                Event::ReplicateDone { .. } => {
-                    tl.replicates += 1;
-                }
-                // Per-job lifecycle events only widen the trace window;
-                // queue depths are driven by the Sim arrival/completion/
-                // migration stream, and counting Job events too would
-                // double-book every transition.
-                Event::Job { t, .. } => {
-                    tl.start = tl.start.min(t);
-                    tl.end = tl.end.max(t);
-                }
-                // Tail samples are derived state (the transient module
-                // consumes them); here they only widen the window.
-                Event::TailSample { t, .. } => {
-                    tl.start = tl.start.min(t);
-                    tl.end = tl.end.max(t);
-                }
-            }
+        cell.depth = to;
+        let to = to as usize;
+        if from != to {
+            self.settle(from, t);
+            self.settle(to, t);
+            self.depth_counts[from] = self.depth_counts[from].saturating_sub(1);
+            self.depth_counts[to] += 1;
         }
+    }
 
-        // Close the measurement window at the final timestamp.
-        let end = if tl.end.is_finite() { tl.end } else { warmup };
+    /// Close the measurement window at the final timestamp and derive
+    /// the time averages.
+    pub fn finish(mut self) -> Timeline {
+        let warmup = self.tl.warmup;
+        let end = if self.tl.end.is_finite() {
+            self.tl.end
+        } else {
+            warmup
+        };
         let span = (end - warmup).max(0.0);
-        for (p, cell) in cells.iter_mut().enumerate() {
-            if end > warmup {
-                let since = cell.last_update.max(warmup);
-                if end > since {
-                    cell.depth_integral += cell.depth as f64 * (end - since);
-                    if cell.depth > 0 {
-                        cell.busy_integral += end - since;
-                    }
-                }
-            }
-            let pp = &mut tl.per_proc[p];
+        for (cell, pp) in self.cells.iter_mut().zip(&mut self.tl.per_proc) {
+            cell.settle(end, warmup);
             pp.final_depth = cell.depth;
             if span > 0.0 {
                 pp.mean_depth = cell.depth_integral / span;
                 pp.busy_fraction = cell.busy_integral / span;
             }
         }
-        for d in 0..depth_counts.len() {
-            settle(
-                d,
-                end,
-                &mut depth_counts,
-                &mut depth_integrals,
-                &mut depth_last,
-            );
+        for d in 0..self.depth_counts.len() {
+            self.settle(d, end);
         }
 
+        let mut tl = self.tl;
         // Tail fractions s_i = time-averaged fraction of processors at
         // depth ≥ i, and the mean number of tasks in the whole system.
-        if n_procs > 0 && span > 0.0 {
-            let mean_counts: Vec<f64> = depth_integrals.iter().map(|&v| v / span).collect();
+        if tl.n_procs > 0 && span > 0.0 {
+            let mean_counts: Vec<f64> = self.depth_integrals.iter().map(|&v| v / span).collect();
             let mut acc = 0.0;
             let mut tails = vec![0.0; mean_counts.len() + 1];
             for (d, &m) in mean_counts.iter().enumerate().rev() {
                 acc += m;
-                tails[d] = acc / n_procs as f64;
+                tails[d] = acc / tl.n_procs as f64;
             }
             // Trim trailing zeros but keep tails[0].
             while tails.len() > 1 && tails[tails.len() - 1] == 0.0 {
@@ -449,8 +329,140 @@ impl Timeline {
             tl.start = 0.0;
             tl.end = 0.0;
         }
-        tl.steady_at = detect_steady(&tl.heartbeats, cfg.steady_tolerance);
+        tl.steady_at = detect_steady(&tl.heartbeats, self.steady_tolerance);
         tl
+    }
+}
+
+impl Recorder for TimelineReplay {
+    fn record(&mut self, ev: &Event) {
+        let warmup = self.tl.warmup;
+        match *ev {
+            Event::Sim {
+                kind,
+                t,
+                proc,
+                src,
+                count,
+            } => {
+                let p = proc as usize;
+                self.grow((p + 1).max(src.map_or(0, |s| s as usize + 1)));
+                let tl = &mut self.tl;
+                tl.start = tl.start.min(t);
+                tl.end = tl.end.max(t);
+                let measured = t >= warmup;
+                match kind {
+                    SimEventKind::Arrival => {
+                        tl.counts.arrivals += 1;
+                        tl.per_proc[p].arrivals += 1;
+                        if measured {
+                            tl.measured.arrivals += 1;
+                        }
+                        self.adjust(p, 1, t);
+                    }
+                    SimEventKind::Completion => {
+                        tl.counts.completions += 1;
+                        tl.per_proc[p].completions += 1;
+                        if measured {
+                            tl.measured.completions += 1;
+                        }
+                        self.adjust(p, -1, t);
+                    }
+                    SimEventKind::StealAttempt => {
+                        tl.counts.steal_attempts += 1;
+                        tl.per_proc[p].steal_attempts += 1;
+                        if measured {
+                            tl.measured.steal_attempts += 1;
+                        }
+                    }
+                    SimEventKind::StealSuccess => {
+                        tl.counts.steal_successes += 1;
+                        tl.per_proc[p].steal_successes += 1;
+                        if measured {
+                            tl.measured.steal_successes += 1;
+                        }
+                    }
+                    SimEventKind::Migration => {
+                        tl.counts.migrations += 1;
+                        tl.counts.tasks_migrated += count as u64;
+                        tl.per_proc[p].tasks_in += count as u64;
+                        if measured {
+                            tl.measured.migrations += 1;
+                            tl.measured.tasks_migrated += count as u64;
+                        }
+                        self.adjust(p, count as i64, t);
+                        match src {
+                            Some(s) => {
+                                self.tl.per_proc[s as usize].tasks_out += count as u64;
+                                self.adjust(s as usize, -(count as i64), t);
+                            }
+                            None => self.tl.sourceless_migrations += 1,
+                        }
+                    }
+                }
+            }
+            Event::Heartbeat {
+                t,
+                events,
+                tasks_in_system,
+            } => {
+                let tl = &mut self.tl;
+                tl.start = tl.start.min(t);
+                tl.end = tl.end.max(t);
+                tl.counts.heartbeats += 1;
+                if t >= warmup {
+                    tl.measured.heartbeats += 1;
+                }
+                tl.heartbeats.push((t, events, tasks_in_system));
+            }
+            Event::SolverStep { accepted, .. } => {
+                if accepted {
+                    self.tl.solver.steps_accepted += 1;
+                } else {
+                    self.tl.solver.steps_rejected += 1;
+                }
+            }
+            Event::SolverSteady { t, residual } => {
+                self.tl.solver.residuals.push((t, residual));
+            }
+            Event::SolverDone {
+                accepted,
+                rejected,
+                converged,
+                residual,
+                ..
+            } => {
+                // Per-step events may be absent (the solver can be
+                // traced summary-only); trust the totals.
+                let solver = &mut self.tl.solver;
+                solver.steps_accepted = solver.steps_accepted.max(accepted);
+                solver.steps_rejected = solver.steps_rejected.max(rejected);
+                solver.converged = Some(converged);
+                solver.final_residual = Some(residual);
+            }
+            Event::ReplicateDone { .. } => {
+                self.tl.replicates += 1;
+            }
+            // Per-job lifecycle events only widen the trace window;
+            // queue depths are driven by the Sim arrival/completion/
+            // migration stream, and counting Job events too would
+            // double-book every transition. Tail samples are derived
+            // state (the transient module consumes them); here they
+            // only widen the window too.
+            Event::Job { t, .. } | Event::TailSample { t, .. } => {
+                self.tl.start = self.tl.start.min(t);
+                self.tl.end = self.tl.end.max(t);
+            }
+        }
+    }
+}
+
+impl Timeline {
+    /// Replay `events` into a timeline.
+    pub fn build(events: &[Event], cfg: &TimelineConfig) -> Self {
+        let mut replay = TimelineReplay::new(cfg);
+        events.iter().for_each(|ev| replay.record(ev));
+        replay.finish()
     }
 
     /// Post-warmup measurement span.

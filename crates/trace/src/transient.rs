@@ -22,7 +22,7 @@
 //! sampled trajectory in as plain data, so this crate keeps its
 //! obs-only dependency footprint.
 
-use loadsteal_obs::{Event, TAIL_SAMPLE_DEPTH};
+use loadsteal_obs::{Event, Recorder, TAIL_SAMPLE_DEPTH};
 
 /// One `tail_sample` event, lifted out of the stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,19 +35,39 @@ pub struct SamplePoint {
     pub depth: usize,
 }
 
-/// Pull every tail sample out of an event stream, in stream order.
-pub fn extract_samples(events: &[Event]) -> Vec<SamplePoint> {
-    events
-        .iter()
-        .filter_map(|ev| match *ev {
-            Event::TailSample { t, tails, depth } => Some(SamplePoint {
+/// The streaming front half of the transient comparison: a
+/// [`Recorder`] keeping only `tail_sample` events, whose
+/// [`finish`](Self::finish) groups them for [`TransientAnalysis::from_groups`].
+#[derive(Debug, Clone, Default)]
+pub struct TailSamples {
+    /// Every tail sample seen, in stream order.
+    pub samples: Vec<SamplePoint>,
+}
+
+impl Recorder for TailSamples {
+    fn record(&mut self, ev: &Event) {
+        if let Event::TailSample { t, tails, depth } = *ev {
+            self.samples.push(SamplePoint {
                 t,
                 tails,
                 depth: depth as usize,
-            }),
-            _ => None,
-        })
-        .collect()
+            });
+        }
+    }
+}
+
+impl TailSamples {
+    /// The samples grouped by instant ([`group_by_time`]).
+    pub fn finish(self) -> Vec<GroupedSample> {
+        group_by_time(&self.samples)
+    }
+}
+
+/// Pull every tail sample out of an event stream, in stream order.
+pub fn extract_samples(events: &[Event]) -> Vec<SamplePoint> {
+    let mut samples = TailSamples::default();
+    events.iter().for_each(|ev| samples.record(ev));
+    samples.samples
 }
 
 /// All samples taken at one grid instant (one per replicate when the

@@ -10,10 +10,50 @@
 //!   would have produced.
 //! * [`read_bytes`] agrees with [`read_str`] on valid UTF-8 input and
 //!   degrades per-line (not per-file) on invalid UTF-8.
+//! * Streaming any of these documents through [`read_into`] from a
+//!   `BufRead` — with a buffer small enough that lines straddle refills
+//!   — gives exactly the in-memory reader's result: events, diagnostics
+//!   (line, column, message), line count, header, or the strict error.
 
-use loadsteal_obs::{Event, SimEventKind};
-use loadsteal_trace::{read_bytes, read_str, ReadMode};
+use std::io::BufReader;
+
+use loadsteal_obs::{CollectingRecorder, Event, SimEventKind, TraceHeader};
+use loadsteal_trace::{read_bytes, read_into, read_str, ParsedTrace, ReadMode, TraceError};
 use proptest::prelude::*;
+
+/// `bytes` streamed line by line through [`read_into`], with the events
+/// collected back into the in-memory shape.
+fn streamed(bytes: &[u8], mode: ReadMode) -> Result<ParsedTrace, TraceError> {
+    let mut events = CollectingRecorder::new();
+    let trace = read_into(BufReader::with_capacity(7, bytes), mode, &mut events)?;
+    assert!(
+        trace.events.is_empty(),
+        "read_into hands events to the sink"
+    );
+    Ok(ParsedTrace {
+        events: events.into_events(),
+        ..trace
+    })
+}
+
+/// The streaming reader and the in-memory reader agree on `bytes` in
+/// both modes.
+fn assert_streaming_matches(bytes: &[u8]) {
+    for mode in [ReadMode::Strict, ReadMode::Lossy] {
+        match (streamed(bytes, mode), read_bytes(bytes, mode)) {
+            (Ok(s), Ok(m)) => {
+                assert_eq!(s.events, m.events, "{mode:?}");
+                assert_eq!(s.skipped, m.skipped, "{mode:?}");
+                assert_eq!(s.lines, m.lines, "{mode:?}");
+                assert_eq!(s.header, m.header, "{mode:?}");
+                assert_eq!(s.spans, m.spans, "{mode:?}");
+                assert_eq!(s.panics, m.panics, "{mode:?}");
+            }
+            (Err(s), Err(m)) => assert_eq!(s, m, "{mode:?}"),
+            (s, m) => panic!("{mode:?}: streamed {s:?} vs in-memory {m:?}"),
+        }
+    }
+}
 
 /// A synthetic but well-formed event stream of `len` lines, seeded so
 /// failures replay.
@@ -66,6 +106,7 @@ proptest! {
         prop_assert_eq!(err.line, len, "strict must point at the torn line");
 
         let lossy = read_str(truncated, ReadMode::Lossy).unwrap();
+        assert_streaming_matches(truncated.as_bytes());
         prop_assert_eq!(lossy.events.len(), len - 1);
         prop_assert_eq!(lossy.skipped.len(), 1);
         prop_assert_eq!(lossy.lines, lossy.events.len() + lossy.skipped.len());
@@ -90,6 +131,7 @@ proptest! {
         prop_assert_eq!(lossy.events.len(), len);
         prop_assert_eq!(lossy.skipped.len(), 1);
         prop_assert_eq!(lossy.skipped[0].line, at + 1);
+        assert_streaming_matches(doc.as_bytes());
     }
 
     /// On valid UTF-8, `read_bytes` and `read_str` are the same parser.
@@ -103,6 +145,7 @@ proptest! {
             prop_assert_eq!(via_str.lines, via_bytes.lines);
             prop_assert_eq!(via_str.skipped.len(), via_bytes.skipped.len());
         }
+        assert_streaming_matches(doc.as_bytes());
     }
 
     /// A line corrupted into invalid UTF-8 fails strict `read_bytes`
@@ -130,6 +173,7 @@ proptest! {
         prop_assert_eq!(lossy.events.len(), len - 1);
         prop_assert_eq!(lossy.skipped.len(), 1);
         prop_assert_eq!(lossy.lines, len);
+        assert_streaming_matches(&bytes);
     }
 }
 
@@ -141,6 +185,7 @@ fn crlf_lines_are_accepted() {
     let a = read_bytes(doc.as_bytes(), ReadMode::Strict).unwrap();
     let b = read_bytes(crlf.as_bytes(), ReadMode::Strict).unwrap();
     assert_eq!(a.events, b.events);
+    assert_streaming_matches(crlf.as_bytes());
 }
 
 /// Strict mode surfaces the UTF-8 column exactly where decoding stopped.
@@ -150,4 +195,50 @@ fn utf8_column_is_valid_up_to_plus_one() {
     bytes[20] = 0xFF;
     let err = read_bytes(&bytes, ReadMode::Strict).unwrap_err();
     assert_eq!((err.line, err.column), (1, 21));
+    assert_streaming_matches(&bytes);
+}
+
+proptest! {
+    /// Blank lines (including whitespace-only and CRLF-blank ones) are
+    /// skipped but still advance the line numbers of later diagnostics,
+    /// streamed or not.
+    #[test]
+    fn blank_lines_keep_line_numbers(seed in any::<u64>(), len in 1usize..20, blanks in 1usize..5) {
+        let mut lines: Vec<String> = valid_doc(seed, len).lines().map(str::to_owned).collect();
+        for k in 0..blanks {
+            let at = (seed as usize).wrapping_add(k * 7) % (lines.len() + 1);
+            lines.insert(at, ["", "  ", "\r"][k % 3].to_owned());
+        }
+        lines.push("garbage".to_owned());
+        let doc = lines.join("\n");
+        let lossy = read_str(&doc, ReadMode::Lossy).unwrap();
+        prop_assert_eq!(lossy.lines, len + 1);
+        prop_assert_eq!(lossy.skipped[0].line, lines.len());
+        assert_streaming_matches(doc.as_bytes());
+    }
+}
+
+/// In a concatenated trace the first header wins, streamed or not.
+#[test]
+fn first_header_wins_when_streamed() {
+    let header = |model: &str| {
+        TraceHeader {
+            model: Some(model.into()),
+            ..TraceHeader::default()
+        }
+        .to_json_line()
+    };
+    let doc = format!(
+        "{}\n{}{}\n{}",
+        header("lambda=0.8,policy=none"),
+        valid_doc(3, 4),
+        header("lambda=0.9,policy=steal,T=2,d=1,k=1"),
+        valid_doc(4, 4)
+    );
+    let parsed = read_str(&doc, ReadMode::Strict).unwrap();
+    assert_eq!(
+        parsed.header.and_then(|h| h.model).as_deref(),
+        Some("lambda=0.8,policy=none")
+    );
+    assert_streaming_matches(doc.as_bytes());
 }

@@ -1,10 +1,14 @@
 //! End-to-end: run the real simulator with an NDJSON recorder, parse
 //! the trace back, and check the reconstructed timeline against the
-//! simulator's own statistics.
+//! simulator's own statistics — and that analyzers attached live to a
+//! run see exactly what they see through the trace file.
 
-use loadsteal_obs::{NdjsonRecorder, Recorder};
+use loadsteal_obs::{Event, NdjsonRecorder, Recorder};
 use loadsteal_sim::{run_recorded, SimConfig};
-use loadsteal_trace::{read_str, ReadMode, Timeline, TimelineConfig};
+use loadsteal_trace::transient::TailSamples;
+use loadsteal_trace::{
+    read_into, read_str, JobReplay, ReadMode, Timeline, TimelineConfig, TimelineReplay,
+};
 
 fn traced_run(cfg: &SimConfig, seed: u64) -> (String, loadsteal_sim::SimResult) {
     let mut rec = NdjsonRecorder::new(Vec::new());
@@ -103,4 +107,71 @@ fn lossy_mode_recovers_a_corrupted_trace() {
     assert_eq!(parsed.events.len() + parsed.skipped.len(), parsed.lines);
     // ~90% of lines survive.
     assert!(parsed.events.len() * 10 >= parsed.lines * 8);
+}
+
+/// Hands every event to each of the three analyzers.
+struct Analyzers {
+    timeline: TimelineReplay,
+    jobs: JobReplay,
+    samples: TailSamples,
+}
+
+impl Analyzers {
+    fn new(warmup: f64) -> Self {
+        Self {
+            timeline: TimelineReplay::new(&TimelineConfig {
+                warmup,
+                ..TimelineConfig::default()
+            }),
+            jobs: JobReplay::new(warmup),
+            samples: TailSamples::default(),
+        }
+    }
+
+    /// Every result, `Debug`-rendered: floats print as their shortest
+    /// round-trip form, so equal text means bit-identical fields.
+    fn finish(self) -> [String; 3] {
+        [
+            format!("{:?}", self.timeline.finish()),
+            format!("{:?}", self.jobs.finish()),
+            format!("{:?}", self.samples.finish()),
+        ]
+    }
+}
+
+impl Recorder for Analyzers {
+    fn record(&mut self, ev: &Event) {
+        self.timeline.record(ev);
+        self.jobs.record(ev);
+        self.samples.record(ev);
+    }
+}
+
+#[test]
+fn live_analysis_equals_the_trace_file_route() {
+    let mut cfg = SimConfig::paper_default(16, 0.8);
+    cfg.horizon = 400.0;
+    cfg.warmup = 40.0;
+    cfg.trace_jobs = true;
+    cfg.sample_tails = Some(1.0);
+
+    let mut live = Analyzers::new(cfg.warmup);
+    run_recorded(&cfg, 7, &mut live);
+    let live = live.finish();
+
+    let (trace, _) = traced_run(&cfg, 7);
+    let mut offline = Analyzers::new(cfg.warmup);
+    let parsed = read_into(trace.as_bytes(), ReadMode::Strict, &mut offline).unwrap();
+    assert!(parsed.lines > 10_000, "expected a substantial trace");
+    let offline = offline.finish();
+
+    for (what, (l, o)) in ["timeline", "jobs", "transient groups"]
+        .iter()
+        .zip(live.iter().zip(&offline))
+    {
+        assert_eq!(l, o, "{what}: live vs trace file");
+    }
+    // The run really exercised every analyzer.
+    assert!(live[1].contains("longest_chain_job: Some("), "{}", live[1]);
+    assert!(live[2].len() > 1_000, "{}", live[2]);
 }

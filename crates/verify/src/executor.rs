@@ -36,9 +36,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use loadsteal_core::ModelSpec;
 use loadsteal_exec::stealbench::{run_once, StealBenchConfig, StealBenchOutcome};
-use loadsteal_obs::{CollectingRecorder, Recorder};
+use loadsteal_obs::Recorder;
 use loadsteal_queueing::OnlineStats;
-use loadsteal_trace::{Timeline, TimelineConfig};
+use loadsteal_trace::{Timeline, TimelineConfig, TimelineReplay};
 
 use crate::harness::{Check, Outcome, Settings, Tier};
 use crate::stat;
@@ -87,16 +87,16 @@ pub fn measure(runs: usize, base_seed: u64, horizon: f64) -> Result<Vec<Measured
             tau: TAU,
             seed: base_seed.wrapping_add(i),
         };
-        let sink: Arc<Mutex<CollectingRecorder>> = Arc::new(Mutex::new(CollectingRecorder::new()));
-        let out = run_once(&cfg, Arc::clone(&sink) as Arc<Mutex<dyn Recorder + Send>>)?;
-        let events = sink.lock().unwrap().events().to_vec();
-        let tl = Timeline::build(
-            &events,
-            &TimelineConfig {
-                warmup,
-                ..TimelineConfig::default()
-            },
-        );
+        let replay = Arc::new(Mutex::new(TimelineReplay::new(&TimelineConfig {
+            warmup,
+            ..TimelineConfig::default()
+        })));
+        let out = run_once(&cfg, Arc::clone(&replay) as Arc<Mutex<dyn Recorder + Send>>)?;
+        let tl = Arc::into_inner(replay)
+            .expect("the run released its recorder")
+            .into_inner()
+            .expect("no pool thread panicked while recording")
+            .finish();
         all.push(MeasuredRun { out, tl });
     }
     Ok(all)

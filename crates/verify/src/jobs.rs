@@ -21,10 +21,9 @@
 //!   steal flow `(s₁ − s₂)·s₂ / λ`; and stolen jobs (which land on an
 //!   empty thief) beat locally-served jobs on mean sojourn.
 
-use loadsteal_obs::CollectingRecorder;
 use loadsteal_queueing::OnlineStats;
 use loadsteal_sim::run_recorded;
-use loadsteal_trace::JobAnalysis;
+use loadsteal_trace::JobReplay;
 
 use crate::harness::{Check, Outcome, Settings};
 use crate::stat;
@@ -39,9 +38,9 @@ const IDENTITY_TOL: f64 = 1e-9;
 /// identities against the engine's internal statistics.
 fn decomposition_check(settings: &Settings, mut cfg: loadsteal_sim::SimConfig) -> Outcome {
     cfg.trace_jobs = true;
-    let mut rec = CollectingRecorder::new();
-    let result = run_recorded(&cfg, settings.seed, &mut rec);
-    let (analysis, records) = JobAnalysis::build_with_records(rec.events(), cfg.warmup);
+    let mut replay = JobReplay::new(cfg.warmup);
+    let result = run_recorded(&cfg, settings.seed, &mut replay);
+    let (analysis, records) = replay.finish_with_records();
 
     if analysis.anomalies.total() > 0 {
         return Outcome::Fail(format!(
@@ -115,9 +114,9 @@ fn mean_field_check(settings: &Settings) -> Outcome {
     let mut migrated = OnlineStats::new(); // migrated fraction per run
     let mut gaps = OnlineStats::new(); // local − migrated mean sojourn
     for i in 0..settings.runs as u64 {
-        let mut rec = CollectingRecorder::new();
-        let result = run_recorded(&cfg, settings.seed.wrapping_add(i), &mut rec);
-        let a = JobAnalysis::build(rec.events(), cfg.warmup);
+        let mut replay = JobReplay::new(cfg.warmup);
+        let result = run_recorded(&cfg, settings.seed.wrapping_add(i), &mut replay);
+        let a = replay.finish();
         if a.anomalies.total() > 0 || a.completed == 0 {
             return Outcome::Fail(format!(
                 "seed {}: unusable trace ({} anomalies, {} jobs)",

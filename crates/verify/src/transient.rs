@@ -26,9 +26,8 @@
 
 use loadsteal_core::models::MeanFieldModel;
 use loadsteal_core::ModelSpec;
-use loadsteal_obs::CollectingRecorder;
 use loadsteal_sim::{run_recorded, ToSimConfig};
-use loadsteal_trace::transient::Envelope;
+use loadsteal_trace::transient::{Envelope, TailSamples};
 use loadsteal_trace::{TransientAnalysis, TransientOptions};
 
 use crate::harness::{Check, Outcome, Settings};
@@ -84,11 +83,9 @@ fn analyse(
     cfg.sample_tails = Some(SAMPLE_DT);
     cfg.validate().map_err(|e| e.to_string())?;
 
-    let mut events = Vec::new();
+    let mut samples = TailSamples::default();
     for i in 0..settings.runs {
-        let mut rec = CollectingRecorder::new();
-        run_recorded(&cfg, settings.seed.wrapping_add(i as u64), &mut rec);
-        events.extend_from_slice(rec.events());
+        run_recorded(&cfg, settings.seed.wrapping_add(i as u64), &mut samples);
     }
 
     let model = spec.mean_field().map_err(|e| e.to_string())?;
@@ -104,8 +101,8 @@ fn analyse(
     let mut opts = TransientOptions::new(cfg.n);
     opts.epsilon = relax_epsilon(settings);
     opts.envelope = ENVELOPE;
-    Ok(TransientAnalysis::build(
-        &events,
+    Ok(TransientAnalysis::from_groups(
+        &samples.finish(),
         &ode,
         fixed_point.as_deref(),
         &opts,
@@ -277,15 +274,13 @@ mod tests {
         cfg.horizon = transient_horizon(&settings);
         cfg.warmup = cfg.warmup.min(cfg.horizon / 4.0);
         cfg.sample_tails = Some(SAMPLE_DT);
-        let mut events = Vec::new();
+        let mut samples = TailSamples::default();
         for i in 0..settings.runs {
-            let mut rec = CollectingRecorder::new();
-            run_recorded(&cfg, settings.seed.wrapping_add(i as u64), &mut rec);
-            events.extend_from_slice(rec.events());
+            run_recorded(&cfg, settings.seed.wrapping_add(i as u64), &mut samples);
         }
         let mut opts = TransientOptions::new(cfg.n);
         opts.envelope = ENVELOPE;
-        let a = TransientAnalysis::build(&events, &ode, None, &opts);
+        let a = TransientAnalysis::from_groups(&samples.finish(), &ode, None, &opts);
         assert!(
             !a.drift.is_empty(),
             "sign-flipped trajectory went undetected (sup {:.4})",
