@@ -791,15 +791,15 @@ pub fn stealbench(a: &Args) -> Result<(), String> {
         cfg.horizon * cfg.tau
     );
 
-    // Sharded trace path (the default): each worker appends into its
-    // own shard, the driver into shard `workers`, and the merge on
-    // drain restores one globally t-ordered stream. No global sink
-    // lock is taken per event — see docs/telemetry.md.
+    // Each worker appends into its own shard, the driver into shard
+    // `workers`, and the merge on drain restores one globally t-ordered
+    // stream. No global sink lock is taken per event — see
+    // docs/telemetry.md.
     let sink = Arc::new(loadsteal_obs::ShardedRecorder::with_shards(
         rec,
         cfg.workers + 1,
     ));
-    let bench = loadsteal_exec::stealbench::StealBench::new_sharded(
+    let bench = loadsteal_exec::stealbench::StealBench::new(
         &cfg,
         Arc::clone(&sink) as Arc<dyn loadsteal_obs::ShardSink>,
     )?;
@@ -1098,8 +1098,11 @@ pub fn transient(a: &Args) -> Result<(), String> {
         print!("{}", loadsteal_trace::render_transient(&analysis));
     }
 
-    // The drift verdict doubles as a machine-readable document: the
-    // same transient.* gauge names the live `serve` exposition uses.
+    // The drift verdict doubles as a machine-readable document. The
+    // gauge names match `serve`'s, but here they summarize the whole
+    // run: `residual_s<i>` is tail i's sup |ŝᵢ − sᵢ| over the grid and
+    // `residual_sup` the overall sup, where `serve` publishes the
+    // signed residuals of the latest sample (docs/transient.md).
     if let Some(out) = a.raw("metrics-json") {
         let reg = Registry::new();
         reg.counter("sim.tail_samples")

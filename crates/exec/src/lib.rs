@@ -16,7 +16,8 @@
 //! 2. **A measurable load-stealing system.** Built with
 //!    [`PoolBuilder::tracer`], the pool emits `loadsteal.trace.v1`
 //!    arrival/completion/steal-attempt/steal-success/migration events
-//!    with wall-clock timestamps mapped to model time, and
+//!    with wall-clock timestamps mapped to model time into per-worker
+//!    trace shards, and
 //!    [`stealbench`] drives it with the paper's per-processor
 //!    Poisson(λ)/Exp(1) workload under the one-probe-per-idle-
 //!    transition policy ([`StealMode::OnEmptyOnce`]). The measured

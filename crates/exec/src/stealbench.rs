@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use loadsteal_obs::{Recorder, ShardSink};
+use loadsteal_obs::ShardSink;
 
 use crate::pool::{Pool, PoolBuilder, PoolStats, StealMode};
 use crate::rng::{splitmix64, Rng};
@@ -125,13 +125,14 @@ impl StealBenchOutcome {
 }
 
 /// One scheduled arrival.
-struct Arrival {
+#[derive(Debug, Clone)]
+pub struct Arrival {
     /// Model time of submission.
-    t: f64,
+    pub t: f64,
     /// Destination worker.
-    worker: usize,
+    pub worker: usize,
     /// Exp(1) service requirement, model time units.
-    service: f64,
+    pub service: f64,
 }
 
 /// Measure how far `thread::sleep` typically overshoots, so service
@@ -210,21 +211,11 @@ pub struct StealBench {
 }
 
 impl StealBench {
-    /// Build the bench around a classic locked recorder (every trace
-    /// event takes the sink lock; see [`PoolBuilder::tracer`]).
-    pub fn new(
-        cfg: &StealBenchConfig,
-        recorder: Arc<Mutex<dyn Recorder + Send>>,
-    ) -> Result<Self, String> {
-        Self::build(cfg, |b| b.tracer(recorder, cfg.tau))
-    }
-
     /// Build the bench around a sharded sink: workers trace into their
-    /// own shards, the driver into shard `workers` — no global sink
-    /// lock on the hot path. `sink` needs at least `workers + 1`
-    /// shards (see [`PoolBuilder::sharded_tracer`]).
-    pub fn new_sharded(cfg: &StealBenchConfig, sink: Arc<dyn ShardSink>) -> Result<Self, String> {
-        Self::build(cfg, |b| b.sharded_tracer(sink, cfg.tau))
+    /// own shards, the driver into shard `workers`. `sink` needs at
+    /// least `workers + 1` shards (see [`PoolBuilder::tracer`]).
+    pub fn new(cfg: &StealBenchConfig, sink: Arc<dyn ShardSink>) -> Result<Self, String> {
+        Self::build(cfg, |b| b.tracer(sink, cfg.tau))
     }
 
     /// Build the bench without any tracer: the pool emits nothing, so
@@ -265,6 +256,12 @@ impl StealBench {
     /// The workload parameters this bench was built with.
     pub fn config(&self) -> &StealBenchConfig {
         &self.cfg
+    }
+
+    /// The pre-generated arrival schedule [`drive`](Self::drive)
+    /// submits, in submission order (deterministic per seed).
+    pub fn plan(&self) -> &[Arrival] {
+        &self.plan
     }
 
     /// Arrivals submitted so far (grows while [`drive`](Self::drive)
@@ -326,25 +323,14 @@ impl StealBench {
 }
 
 /// Run one measured steal-bench: build an [`StealMode::OnEmptyOnce`]
-/// pool tracing into `recorder`, drive the Poisson schedule against
-/// it, and return the counters. The recorder receives the full event
-/// stream (monotone in model time `t`).
+/// pool tracing into `sink`, drive the Poisson schedule against it,
+/// and return the counters. The sink's drain after the run yields the
+/// full event stream, monotone in model time `t`.
 pub fn run_once(
-    cfg: &StealBenchConfig,
-    recorder: Arc<Mutex<dyn Recorder + Send>>,
-) -> Result<StealBenchOutcome, String> {
-    let bench = StealBench::new(cfg, recorder)?;
-    bench.drive();
-    Ok(bench.finish())
-}
-
-/// [`run_once`] over the sharded trace path: no global sink lock per
-/// event; the sink's drain recovers the globally `t`-ordered stream.
-pub fn run_once_sharded(
     cfg: &StealBenchConfig,
     sink: Arc<dyn ShardSink>,
 ) -> Result<StealBenchOutcome, String> {
-    let bench = StealBench::new_sharded(cfg, sink)?;
+    let bench = StealBench::new(cfg, sink)?;
     bench.drive();
     Ok(bench.finish())
 }
@@ -352,7 +338,7 @@ pub fn run_once_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loadsteal_obs::{CollectingRecorder, Event, SimEventKind};
+    use loadsteal_obs::{CollectingRecorder, Event, ShardedRecorder, SimEventKind};
 
     fn tiny() -> StealBenchConfig {
         StealBenchConfig {
@@ -400,18 +386,21 @@ mod tests {
         assert!(a.windows(2).all(|w| w[0].t <= w[1].t));
     }
 
-    /// End-to-end smoke: a short run produces a monotone trace whose
-    /// arrival/completion/steal events are consistent with the pool
-    /// counters. (~80 ms of wall clock.)
+    /// End-to-end smoke: a short run's merged trace is monotone in `t`
+    /// and its arrival/completion/steal events are consistent with the
+    /// pool counters. (~80 ms of wall clock.)
     #[test]
     fn run_once_produces_a_consistent_trace() {
-        let sink: Arc<Mutex<CollectingRecorder>> = Arc::new(Mutex::new(CollectingRecorder::new()));
-        let out = run_once(
-            &tiny(),
-            Arc::clone(&sink) as Arc<Mutex<dyn Recorder + Send>>,
-        )
-        .expect("bench runs");
-        let events = sink.lock().unwrap().events().to_vec();
+        let cfg = tiny();
+        let sink = Arc::new(ShardedRecorder::with_shards(
+            CollectingRecorder::new(),
+            cfg.workers + 1,
+        ));
+        let out = run_once(&cfg, Arc::clone(&sink) as Arc<dyn ShardSink>).expect("bench runs");
+        let events = Arc::try_unwrap(sink)
+            .unwrap_or_else(|_| panic!("pool must release its sink on shutdown"))
+            .finish()
+            .into_events();
         assert!(!events.is_empty(), "trace must not be empty");
         let mut arrivals = 0u64;
         let mut completions = 0u64;
@@ -421,7 +410,7 @@ mod tests {
         let mut last_t = f64::NEG_INFINITY;
         for e in &events {
             if let Event::Sim { kind, t, .. } = e {
-                assert!(*t >= last_t, "trace must be monotone in t");
+                assert!(*t >= last_t, "merged trace must be monotone in t");
                 last_t = *t;
                 match kind {
                     SimEventKind::Arrival => arrivals += 1,
@@ -443,24 +432,27 @@ mod tests {
         assert!(completions as f64 >= 0.8 * arrivals as f64);
     }
 
-    /// The sharded path must emit the same *kind* of trace the locked
-    /// path does: after the merge-on-drain, globally monotone in `t`
-    /// and count-consistent with the pool's own counters.
+    /// The merged trace survives shard overflow: with the smallest
+    /// per-shard buffer every busy shard spills mid-run, and the drain
+    /// must still forward every recorded event, monotone in `t`, with
+    /// counts matching the pool counters.
     #[test]
     fn run_once_sharded_produces_a_consistent_merged_trace() {
-        use loadsteal_obs::{ShardSink, ShardedRecorder};
         let cfg = tiny();
-        let sharded = Arc::new(ShardedRecorder::with_shards(
+        let sharded = Arc::new(ShardedRecorder::new(
             CollectingRecorder::new(),
             cfg.workers + 1,
+            16,
         ));
-        let out = run_once_sharded(&cfg, Arc::clone(&sharded) as Arc<dyn ShardSink>)
+        let out = run_once(&cfg, Arc::clone(&sharded) as Arc<dyn ShardSink>)
             .expect("sharded bench runs");
-        let rec = Arc::try_unwrap(sharded)
+        assert!(sharded.spilled() > 0, "16-event shards must spill");
+        let recorded = sharded.recorded();
+        let events = Arc::try_unwrap(sharded)
             .unwrap_or_else(|_| panic!("pool must release its sink on shutdown"))
-            .finish();
-        let events = rec.events().to_vec();
-        assert!(!events.is_empty(), "merged trace must not be empty");
+            .finish()
+            .into_events();
+        assert_eq!(events.len() as u64, recorded, "spilled events are not lost");
         let mut arrivals = 0u64;
         let mut completions = 0u64;
         let mut attempts = 0u64;

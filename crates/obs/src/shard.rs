@@ -1,21 +1,19 @@
 //! Sharded, contention-free event recording for multi-threaded
 //! producers.
 //!
-//! The [`SharedRecorder`](crate::SharedRecorder) that PR 9's executor
-//! traces through serializes every worker on one mutex — the telemetry
-//! path contends on exactly the parallelism it is supposed to observe.
-//! [`ShardedRecorder`] removes that lock from the hot path: each
-//! producer thread owns one *shard* (a bounded buffer behind a mutex
-//! that only that producer and the drainer ever touch, on its own
-//! cache line), events are stamped with a per-shard sequence number as
-//! they land, and a drainer merge-sorts the shards into a single
-//! stream for the wrapped [`Recorder`].
+//! A single mutex around the sink would serialize every producer — the
+//! telemetry path would contend on exactly the parallelism it is
+//! supposed to observe. [`ShardedRecorder`] keeps that lock off the hot
+//! path: each producer thread owns one *shard* (a bounded buffer behind
+//! a mutex that only that producer and the drainer ever touch, on its
+//! own cache line), events are stamped with a per-shard sequence
+//! number as they land, and a drainer merge-sorts the shards into a
+//! single stream for the wrapped [`Recorder`].
 //!
 //! # Ordering contract (`loadsteal.trace.v1`)
 //!
-//! The locked path timestamps *inside* the sink lock, which makes the
-//! emitted stream globally monotone in `t` by construction. The
-//! sharded path relaxes that to the contract documented in
+//! Producers stamp `t` on their own thread, so no single lock orders
+//! the stream as it is written. The guarantees, also documented in
 //! `docs/trace-schema.md` and `docs/telemetry.md`:
 //!
 //! * **per-shard order is preserved** — events from one shard appear

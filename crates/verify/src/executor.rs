@@ -32,11 +32,11 @@
 //! The measurements are wall-clock timed, so these checks are marked
 //! [`Check::serial`] and a run's data is captured once and shared.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use loadsteal_core::ModelSpec;
 use loadsteal_exec::stealbench::{run_once, StealBenchConfig, StealBenchOutcome};
-use loadsteal_obs::Recorder;
+use loadsteal_obs::{ShardSink, ShardedRecorder};
 use loadsteal_queueing::OnlineStats;
 use loadsteal_trace::{Timeline, TimelineConfig, TimelineReplay};
 
@@ -87,15 +87,15 @@ pub fn measure(runs: usize, base_seed: u64, horizon: f64) -> Result<Vec<Measured
             tau: TAU,
             seed: base_seed.wrapping_add(i),
         };
-        let replay = Arc::new(Mutex::new(TimelineReplay::new(&TimelineConfig {
+        let replay = TimelineReplay::new(&TimelineConfig {
             warmup,
             ..TimelineConfig::default()
-        })));
-        let out = run_once(&cfg, Arc::clone(&replay) as Arc<Mutex<dyn Recorder + Send>>)?;
-        let tl = Arc::into_inner(replay)
+        });
+        let sink = Arc::new(ShardedRecorder::with_shards(replay, WORKERS + 1));
+        let out = run_once(&cfg, Arc::clone(&sink) as Arc<dyn ShardSink>)?;
+        let tl = Arc::into_inner(sink)
             .expect("the run released its recorder")
-            .into_inner()
-            .expect("no pool thread panicked while recording")
+            .finish()
             .finish();
         all.push(MeasuredRun { out, tl });
     }

@@ -46,16 +46,19 @@
 //!   fail.
 //! * **executor** — the *measured* work-stealing thread pool: the real
 //!   Chase–Lev executor driven with the paper's Poisson workload at
-//!   λ = 0.9, its wall-clock trace replayed through the same timeline
+//!   λ = 0.9, its merged sharded wall-clock trace (the path
+//!   `stealbench --trace` writes) replayed through the same timeline
 //!   pipeline, steal success rate and tail occupancies required to
 //!   match the mean-field fixed point within the usual CI + `c/n`
 //!   bounds.
 //! * **overhead** — the telemetry pipeline itself: the sharded
-//!   recorder must serialize the same event multiset as the locked
-//!   recorder (bit-for-bit, on deterministic concurrent streams and
-//!   pinned-seed executor runs) while preserving per-shard order in
-//!   the merge, and full NDJSON tracing on the sim bench must cost at
-//!   most a declared wall-clock budget over the untraced run.
+//!   recorder must serialize the same event multiset as an in-test
+//!   mutex oracle (bit-for-bit, on deterministic concurrent streams)
+//!   while preserving per-shard order in the merge, a pinned-seed
+//!   executor run must trace exactly the driver's arrival plan and
+//!   the pool's completions, and full NDJSON tracing on the sim bench
+//!   must cost at most a declared wall-clock budget over the untraced
+//!   run.
 //!
 //! The harness is exposed on the CLI as `loadsteal verify
 //! [--quick|--full]`; the [`sabotage`] module carries a deliberately
