@@ -160,12 +160,17 @@ fn model_spec(a: &Args, default: &str) -> Result<ModelSpec, String> {
     ModelSpec::parse(&text)
 }
 
-/// Add the solver counters common to every traced command.
-fn solver_metrics(reg: &Registry, c: &EventCounts) {
+/// Add the solver counters common to every traced command; `fp` is the
+/// command's fixed point, when it solved one.
+fn solver_metrics(reg: &Registry, c: &EventCounts, fp: Option<&FixedPoint>) {
     reg.counter("solver.steps_accepted").add(c.solver_accepted);
     reg.counter("solver.steps_rejected").add(c.solver_rejected);
     reg.counter("solver.steady_samples").add(c.solver_steady);
     reg.counter("solver.integrations").add(c.solver_done);
+    if let Some(fp) = fp {
+        reg.counter("solver.newton_iterations")
+            .add(fp.newton_iterations as u64);
+    }
     reg.gauge("solver.max_reject_streak")
         .set(c.solver_max_reject_streak as f64);
     reg.gauge("solver.stiffness_hint")
@@ -219,7 +224,7 @@ pub fn solve(a: &Args) -> Result<(), String> {
     }
     if obs.metrics_json.is_some() {
         let reg = Registry::new();
-        solver_metrics(&reg, &counts);
+        solver_metrics(&reg, &counts, Some(&fp));
         reg.gauge("solver.residual").set(fp.residual);
         reg.gauge("solver.truncation").set(fp.truncation as f64);
         reg.gauge("solver.mean_tasks").set(fp.mean_tasks);
@@ -511,7 +516,7 @@ pub fn simulate(a: &Args) -> Result<(), String> {
         } else {
             successes as f64 / attempts as f64
         });
-        solver_metrics(&reg, &counts);
+        solver_metrics(&reg, &counts, mean_field.as_ref().map(|(_, fp)| fp));
         if let Some((_, fp)) = &mean_field {
             reg.gauge("solver.residual").set(fp.residual);
             reg.gauge("solver.mean_time_in_system")

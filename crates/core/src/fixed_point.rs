@@ -3,16 +3,32 @@
 //!
 //! A fixed point is a state `π` with `dπ/dt = 0`; the paper's systems
 //! flow towards attracting fixed points, so the robust way to find one
-//! is to integrate from the empty state until the derivative vanishes,
-//! then — when the truncated dimension is small enough — polish the
-//! result with a damped Newton iteration on the algebraic system
-//! `F(π) = 0` to (near) machine precision. The truncation is grown and
-//! the solve repeated whenever mass reaches the boundary.
+//! is to integrate from the empty state for a short while and then
+//! polish with a damped Newton iteration on the algebraic system
+//! `F(π) = 0` to (near) machine precision. Integration continues in
+//! growing chunks, with a Newton attempt after each, until one is
+//! accepted or the derivative vanishes on its own. The truncation is
+//! grown and the solve repeated whenever mass reaches the boundary.
+//!
+//! The polish is structured: each model declares the sparsity of its
+//! Jacobian ([`MeanFieldModel::jacobian_pattern`] — a narrow band plus
+//! a few global levels such as `s_1`, `s_2`, `s_T`), so an iteration
+//! costs a handful of right-hand-side evaluations and a banded LU,
+//! linear in the dimension. Heavy traffic (λ → 1, thousands of levels)
+//! polishes as cheaply as light traffic. A model without a pattern is
+//! solved by integration only.
+//!
+//! Time is attributed to the spans `fixed_point.integrate`,
+//! `fixed_point.newton` (with `ode.newton.jacobian` and
+//! `ode.newton.factor` inside) and `fixed_point.grow_truncation`, the
+//! re-solve after a truncation grew.
 
+use loadsteal_obs::span::span;
 use loadsteal_obs::{NullRecorder, Recorder};
 use loadsteal_ode::solver::SteadyStateOptions;
 use loadsteal_ode::{
-    newton_solve, AdaptiveOptions, DormandPrince45, IntegrationError, NewtonError, NewtonOptions,
+    newton_solve, AdaptiveOptions, DormandPrince45, IntegrationError, JacobianPattern,
+    NewtonOptions,
 };
 
 use crate::models::MeanFieldModel;
@@ -26,9 +42,6 @@ pub struct FixedPointOptions {
     pub adaptive: AdaptiveOptions,
     /// Newton-polish settings.
     pub newton: NewtonOptions,
-    /// Skip the Newton polish above this dimension (the dense
-    /// finite-difference Jacobian is O(dim²) evaluations).
-    pub newton_max_dim: usize,
     /// Grow the truncation when the boundary mass exceeds this.
     pub boundary_tol: f64,
     /// Hard cap on truncation growth.
@@ -45,7 +58,6 @@ impl Default for FixedPointOptions {
             },
             adaptive: AdaptiveOptions::default(),
             newton: NewtonOptions::default(),
-            newton_max_dim: 700,
             boundary_tol: 1e-12,
             max_truncation: 60_000,
         }
@@ -61,6 +73,8 @@ pub struct FixedPoint {
     pub residual: f64,
     /// Whether the Newton polish ran (as opposed to integration only).
     pub polished: bool,
+    /// Newton steps of the accepted polish (0 for integration only).
+    pub newton_iterations: usize,
     /// Mean tasks per processor `L` (including in-transit tasks).
     pub mean_tasks: f64,
     /// Mean time in system `W = L/λ`.
@@ -122,7 +136,8 @@ impl From<IntegrationError> for SolveError {
 }
 
 /// Compute the fixed point of `model` (integrate from empty, grow the
-/// truncation as needed, Newton-polish when feasible).
+/// truncation as needed, Newton-polish when the model declares its
+/// Jacobian pattern).
 pub fn solve<M: MeanFieldModel>(
     model: &M,
     opts: &FixedPointOptions,
@@ -139,8 +154,16 @@ pub fn solve_traced<M: MeanFieldModel>(
     rec: &mut dyn Recorder,
 ) -> Result<FixedPoint, SolveError> {
     let mut m = model.clone();
+    let mut grown = false;
     loop {
-        let (state, residual, polished) = solve_at_truncation(&m, opts, rec)?;
+        let Solved {
+            state,
+            residual,
+            newton_iterations,
+        } = {
+            let _span = grown.then(|| span("fixed_point.grow_truncation"));
+            solve_at_truncation(&m, opts, rec)?
+        };
         let boundary = m.boundary_mass(&state);
         if boundary > opts.boundary_tol {
             let next = (m.truncation() * 3 / 2).max(m.truncation() + 16);
@@ -150,13 +173,15 @@ pub fn solve_traced<M: MeanFieldModel>(
                 });
             }
             m = m.with_truncation(next);
+            grown = true;
             continue;
         }
         let task_tails = m.task_tails(&state);
         let mean_tasks = m.mean_tasks(&state);
         return Ok(FixedPoint {
             residual,
-            polished,
+            polished: newton_iterations.is_some(),
+            newton_iterations: newton_iterations.unwrap_or(0),
             mean_tasks,
             mean_time_in_system: m.mean_time_in_system(&state),
             task_tails,
@@ -166,47 +191,60 @@ pub fn solve_traced<M: MeanFieldModel>(
     }
 }
 
+/// The result of one pass at a fixed truncation.
+struct Solved {
+    state: Vec<f64>,
+    residual: f64,
+    /// Newton steps of the accepted polish; `None` for integration only.
+    newton_iterations: Option<usize>,
+}
+
 /// One pass at the model's current truncation: integrate in growing
 /// time chunks, attempting a Newton polish after each chunk.
 ///
-/// Some systems (notably load-proportional rebalancing) relax towards
-/// their fixed point very slowly under pure integration; Newton's basin
-/// of attraction is reached long before the trajectory itself settles,
-/// so interleaving attempts turns minutes into milliseconds without
-/// giving up the integration fallback.
+/// Newton's basin of attraction is reached long before the trajectory
+/// itself settles — in heavy traffic the relaxation time grows faster
+/// than 1/(1 − λ) — so a short first chunk and an early polish turn
+/// minutes into milliseconds, while integration stays the fallback.
 fn solve_at_truncation<M: MeanFieldModel>(
     m: &M,
     opts: &FixedPointOptions,
     rec: &mut dyn Recorder,
-) -> Result<(Vec<f64>, f64, bool), SolveError> {
+) -> Result<Solved, SolveError> {
+    let pattern = m.jacobian_pattern();
     let mut y = m.empty_state();
     let mut dp = DormandPrince45::new(opts.adaptive);
     let mut t = 0.0;
     // Short first chunk: Newton's basin is usually reached within a few
     // dozen time units, far before the trajectory itself settles.
     let mut chunk = 50.0_f64.min(opts.steady.t_max);
-    let mut residual;
     loop {
-        let stage = loadsteal_ode::solver::SteadyStateOptions {
+        let stage = SteadyStateOptions {
             t_max: (t + chunk).min(opts.steady.t_max) - t,
             ..opts.steady
         };
-        let report = dp.integrate_to_steady_traced(m, t, &mut y, &stage, rec)?;
+        let report = {
+            let _span = span("fixed_point.integrate");
+            dp.integrate_to_steady_traced(m, t, &mut y, &stage, rec)?
+        };
         t = report.t;
-        residual = report.residual;
+        let residual = report.residual;
 
-        if m.dim() <= opts.newton_max_dim {
-            if let Some((state, r)) = try_newton(m, &y, residual, opts) {
-                return Ok((state, r, true));
+        if let Some(pattern) = &pattern {
+            let _span = span("fixed_point.newton");
+            if let Some(polished) = try_newton(m, pattern, &y, residual, opts) {
+                return Ok(polished);
             }
         }
-        if report.converged {
-            return Ok((y, residual, false));
+        let out_of_time = t >= opts.steady.t_max;
+        if report.converged || (out_of_time && residual <= opts.steady.tol.max(1e-8)) {
+            return Ok(Solved {
+                state: y,
+                residual,
+                newton_iterations: None,
+            });
         }
-        if t >= opts.steady.t_max {
-            if residual <= opts.steady.tol.max(1e-8) {
-                return Ok((y, residual, false));
-            }
+        if out_of_time {
             return Err(SolveError::NotConverged { residual });
         }
         chunk *= 4.0;
@@ -217,36 +255,35 @@ fn solve_at_truncation<M: MeanFieldModel>(
 /// iteration converges to a better residual than `residual`.
 fn try_newton<M: MeanFieldModel>(
     m: &M,
+    pattern: &JacobianPattern,
     y: &[f64],
     residual: f64,
     opts: &FixedPointOptions,
-) -> Option<(Vec<f64>, f64)> {
+) -> Option<Solved> {
     let mut trial = y.to_vec();
     // Interleaved attempts are speculative: bound the cost of a failed
-    // attempt (each iteration pays a dim² finite-difference Jacobian).
-    let newton_opts = loadsteal_ode::NewtonOptions {
+    // attempt.
+    let newton_opts = NewtonOptions {
         max_iters: opts.newton.max_iters.min(25),
         ..opts.newton
     };
-    match newton_solve(|x, out| m.deriv(0.0, x, out), &mut trial, &newton_opts) {
-        Ok(_) => {
-            m.project(&mut trial);
-            // Projection can nudge the residual; re-evaluate honestly.
-            let mut f = vec![0.0; trial.len()];
-            m.deriv(0.0, &trial, &mut f);
-            let r = f.iter().fold(0.0_f64, |a, &v| a.max(v.abs()));
-            // Accept only genuine convergence (not a stalled local
-            // improvement far from the fixed point).
-            if r < opts.newton.tol * 100.0 && r <= residual {
-                return Some((trial, r));
-            }
-            None
-        }
-        Err(
-            NewtonError::SingularJacobian { .. }
-            | NewtonError::Stalled { .. }
-            | NewtonError::MaxIterations { .. }
-            | NewtonError::NonFinite,
-        ) => None,
-    }
+    let report = newton_solve(
+        |x, out| m.deriv(0.0, x, out),
+        &mut trial,
+        pattern,
+        &newton_opts,
+    )
+    .ok()?;
+    m.project(&mut trial);
+    // Projection can nudge the residual; re-evaluate honestly.
+    let mut f = vec![0.0; trial.len()];
+    m.deriv(0.0, &trial, &mut f);
+    let r = f.iter().fold(0.0_f64, |a, &v| a.max(v.abs()));
+    // Accept only genuine convergence (not a stalled local improvement
+    // far from the fixed point).
+    (r < opts.newton.tol * 100.0 && r <= residual).then_some(Solved {
+        state: trial,
+        residual: r,
+        newton_iterations: Some(report.iterations),
+    })
 }

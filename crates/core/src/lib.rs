@@ -34,8 +34,9 @@
 //!   multi-task steals, pairwise rebalancing, heterogeneous speeds, and
 //!   internal-arrival/static-drain systems. Each implements
 //!   [`MeanFieldModel`].
-//! * [`fixed_point`] — the numeric pipeline (integrate to steady state,
-//!   then Newton-polish) plus closed forms where the paper derives them.
+//! * [`fixed_point`] — the numeric pipeline (a short integration, then a
+//!   Newton polish with each model's declared Jacobian sparsity, at any
+//!   truncation depth) plus closed forms where the paper derives them.
 //! * [`stability`] — the Section 4 analysis: L₁ distance to the fixed
 //!   point along trajectories, and the `π₂ < 1/2` hypothesis of
 //!   Theorems 1–2.

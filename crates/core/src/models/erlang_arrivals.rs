@@ -21,9 +21,9 @@
 //! over all processors so the steal terms couple the phases only through
 //! the aggregated tails.
 
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, level_major, MeanFieldModel};
 
 /// Mean-field model of threshold stealing under Erlang-`c` arrivals.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,6 +185,20 @@ impl MeanFieldModel for ErlangArrivals {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         self.agg(y, self.levels)
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        // Phase a at level i feeds phase a + 1 at the same level (the
+        // last phase feeds phase 0 one level up): level-major, that is
+        // one position back. Departures couple level i + 1, c positions
+        // on. The steal terms read levels 1, 2 and T of every phase.
+        let (c, l) = (self.phases, self.levels);
+        let globals = (0..c).flat_map(|a| [0, 1, self.threshold - 1].map(|i| a * l + i));
+        Some(
+            JacobianPattern::banded(c * l, 1, c)
+                .with_globals(globals)
+                .with_order(level_major(c, l)),
+        )
     }
 }
 

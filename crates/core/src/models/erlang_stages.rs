@@ -21,11 +21,11 @@
 //! thief.) The paper's Table 2 compares the `c = 10` and `c = 20` fixed
 //! points against simulations with truly constant service times.
 
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
 use crate::tail::{truncation_for_ratio, TailVector};
 
-use super::{check_lambda, MeanFieldModel};
+use super::{check_lambda, tail_pattern, MeanFieldModel};
 
 /// Mean-field model of simple WS with Erlang-`c` (≈ constant) service.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,6 +202,17 @@ impl MeanFieldModel for ErlangStages {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         y.last().copied().unwrap_or(0.0)
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        // Arrivals add c stages and steals remove c: a band of ±c.
+        let c = self.stages;
+        Some(tail_pattern(
+            self.levels,
+            c,
+            c,
+            &[1, 2, self.stage_threshold()],
+        ))
     }
 }
 

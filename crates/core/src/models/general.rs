@@ -21,11 +21,11 @@
 //! which reduces exactly to [`super::ThresholdWs`] (`d = 1, k = 1`),
 //! [`super::MultiChoice`] (`k = 1`) and [`super::MultiSteal`] (`d = 1`).
 
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
 use crate::tail::TailVector;
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, tail_pattern, MeanFieldModel};
 
 /// Mean-field model of on-empty stealing with all three knobs.
 ///
@@ -179,6 +179,16 @@ impl MeanFieldModel for GeneralWs {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         y.last().copied().unwrap_or(0.0)
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        // A k-task steal moves victims from level i + k − 1 to below i.
+        Some(tail_pattern(
+            self.levels,
+            1,
+            self.batch,
+            &[1, 2, self.threshold],
+        ))
     }
 }
 

@@ -20,7 +20,7 @@
 //! the load: `λ < α μ_f + (1 − α) μ_s` is necessary; stealing couples
 //! the classes so slow processors can even handle `λ > μ_s`.
 
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
 use super::MeanFieldModel;
 
@@ -220,6 +220,13 @@ impl MeanFieldModel for Heterogeneous {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         self.f(y, self.levels).max(self.g(y, self.levels))
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        // Each class is a tridiagonal chain in its own block; the steal
+        // terms read levels 1, 2 and T of both classes.
+        let (l, t) = (self.levels, self.threshold);
+        Some(JacobianPattern::banded(2 * l, 1, 1).with_globals([0, 1, t - 1, l, l + 1, l + t - 1]))
     }
 }
 

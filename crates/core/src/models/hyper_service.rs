@@ -26,9 +26,9 @@
 //! exactly; two distinct branches show Table 2's effect mirrored:
 //! *more* service variability means *longer* times in system.
 
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
-use super::{default_truncation, MeanFieldModel};
+use super::{default_truncation, level_major, MeanFieldModel};
 
 /// Mean-field model of threshold stealing with two-branch
 /// hyperexponential service.
@@ -223,6 +223,22 @@ impl MeanFieldModel for HyperService {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         self.agg(y, self.levels)
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        // Branch b at level i couples both branches at level i + 1
+        // (restarts) and its own level i − 1: in level-major order, two
+        // positions back and three on. The steal terms read levels 1, 2
+        // and T of both branches.
+        let l = self.levels;
+        let globals = [0, l]
+            .into_iter()
+            .flat_map(|b| [0, 1, self.threshold - 1].map(|i| b + i));
+        Some(
+            JacobianPattern::banded(2 * l, 2, 3)
+                .with_globals(globals)
+                .with_order(level_major(2, l)),
+        )
     }
 }
 

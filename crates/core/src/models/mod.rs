@@ -59,7 +59,7 @@ pub use threshold::ThresholdWs;
 pub use transfer::TransferWs;
 pub use work_sharing::WorkSharing;
 
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
 /// A mean-field work-stealing model: a truncated ODE family plus the
 /// interpretation of its state.
@@ -99,6 +99,39 @@ pub trait MeanFieldModel: OdeSystem + Clone {
     fn mean_time_in_system(&self, y: &[f64]) -> f64 {
         loadsteal_queueing::littles_law::time_in_system(self.mean_tasks(y), self.lambda())
     }
+
+    /// The sparsity of `∂(dy/dt)/∂y` at the current truncation, which
+    /// lets [`crate::fixed_point::solve`] Newton-polish at any
+    /// dimension. `None` (the default) means integration only.
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        None
+    }
+}
+
+/// The pattern of a plain task-tail model (`y[i − 1] = s_i`): row `i`
+/// couples `s_{i−lower}..=s_{i+upper}` plus the global levels `s_g`
+/// (1-based; levels beyond the truncation are dropped).
+pub(crate) fn tail_pattern(
+    levels: usize,
+    lower: usize,
+    upper: usize,
+    global_levels: &[usize],
+) -> JacobianPattern {
+    JacobianPattern::banded(levels, lower, upper).with_globals(
+        global_levels
+            .iter()
+            .filter(|&&g| (1..=levels).contains(&g))
+            .map(|g| g - 1),
+    )
+}
+
+/// Level-major order of a class-major state (`y[c * levels + i]`):
+/// position `i * classes + c` holds class `c` at level `i`, so classes
+/// that couple level by level sit next to each other.
+pub(crate) fn level_major(classes: usize, levels: usize) -> Vec<usize> {
+    (0..classes * levels)
+        .map(|p| (p % classes) * levels + p / classes)
+        .collect()
 }
 
 /// Validate an arrival rate for the dynamic models (`0 < λ < 1`).

@@ -18,11 +18,11 @@
 //! `d` — Table 4 shows two choices help, but one choice captures most of
 //! the benefit.
 
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
 use crate::tail::TailVector;
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, tail_pattern, MeanFieldModel};
 
 /// Mean-field model of work stealing with `d` victim choices.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,6 +149,10 @@ impl MeanFieldModel for MultiChoice {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         y.last().copied().unwrap_or(0.0)
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        Some(tail_pattern(self.levels, 1, 1, &[1, 2, self.threshold]))
     }
 }
 

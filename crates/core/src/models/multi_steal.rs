@@ -18,11 +18,11 @@
 //! The gain term `(s_1 − s_2) s_T` on levels `≤ k` is the thief jumping
 //! from 0 to k tasks; the loss terms are victims dropping k levels.
 
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
 use crate::tail::TailVector;
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, tail_pattern, MeanFieldModel};
 
 /// Mean-field model of threshold stealing that takes `k` tasks per
 /// steal.
@@ -152,6 +152,16 @@ impl MeanFieldModel for MultiSteal {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         y.last().copied().unwrap_or(0.0)
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        // A k-task steal moves victims from level i + k − 1 to below i.
+        Some(tail_pattern(
+            self.levels,
+            1,
+            self.batch,
+            &[1, 2, self.threshold],
+        ))
     }
 }
 

@@ -9,11 +9,11 @@
 //! with fixed point `π_i = λ^i` and mean time in system `1/(1−λ)`.
 //! Every stealing model in this crate is compared against this tail.
 
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
 use crate::tail::TailVector;
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, tail_pattern, MeanFieldModel};
 
 /// Mean-field model of `n → ∞` independent M/M/1 queues.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,6 +111,10 @@ impl MeanFieldModel for NoSteal {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         y.last().copied().unwrap_or(0.0)
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        Some(tail_pattern(self.levels, 1, 1, &[]))
     }
 }
 

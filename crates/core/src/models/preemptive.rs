@@ -18,11 +18,11 @@
 //! ratio against `λ/(1 + λ − π_2')` with `π_2' ≝ π_{B+2}` in the tests.
 //! `B = 0` recovers the simple WS model.
 
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
 use crate::tail::TailVector;
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, tail_pattern, MeanFieldModel};
 
 /// Mean-field model of preemptive stealing with parameters `(B, T)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,6 +160,21 @@ impl MeanFieldModel for Preemptive {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         y.last().copied().unwrap_or(0.0)
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        // Level i ≤ B + 1 looks T − 1 levels up for victims; level
+        // i < B + T cuts the thief pressure at s_{i−T+2}; deeper levels
+        // use the fixed cut s_{B+2}.
+        let t = self.rel_threshold;
+        let lower = (t - 2).max(1);
+        let upper = t - 1;
+        Some(tail_pattern(
+            self.levels,
+            lower,
+            upper,
+            &[1, self.begin_at + 2],
+        ))
     }
 }
 

@@ -20,7 +20,7 @@
 //! prefix sums, so one derivative evaluation costs `O(L²)` in the worst
 //! case but with small constants.
 
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
 use crate::tail::TailVector;
 
@@ -193,6 +193,11 @@ impl MeanFieldModel for Rebalance {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         y.last().copied().unwrap_or(0.0)
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        // Pairwise equalization couples every pair of levels.
+        Some(JacobianPattern::dense(self.levels))
     }
 }
 

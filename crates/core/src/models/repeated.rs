@@ -17,11 +17,11 @@
 //! `λ / (1 + r(1 − π_1) + π_1 − π_2)`; as `r → ∞`, `π_T → 0`: with
 //! instantaneous retries no queue can keep `T` tasks for long.
 
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
 use crate::tail::TailVector;
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, tail_pattern, MeanFieldModel};
 
 /// Mean-field model of repeated steal attempts at rate `r`.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,6 +153,10 @@ impl MeanFieldModel for RepeatedSteal {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         y.last().copied().unwrap_or(0.0)
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        Some(tail_pattern(self.levels, 1, 1, &[1, 2, self.threshold]))
     }
 }
 

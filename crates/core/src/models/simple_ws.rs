@@ -14,12 +14,12 @@
 //! `ρ' = λ/(1 + λ − π_2)`), which is what the paper's Table 1
 //! "Estimate" column reports via the mean time in system.
 
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
 use crate::fixed_point::FixedPoint;
 use crate::tail::TailVector;
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, tail_pattern, MeanFieldModel};
 
 /// Mean-field model of the paper's simple WS algorithm.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,6 +97,7 @@ impl SimpleWs {
         FixedPoint {
             residual,
             polished: true,
+            newton_iterations: 0,
             mean_tasks: self.closed_form_mean_tasks(),
             mean_time_in_system: self.closed_form_mean_time(),
             task_tails: std::iter::once(1.0).chain(state.iter().copied()).collect(),
@@ -175,6 +176,11 @@ impl MeanFieldModel for SimpleWs {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         y.last().copied().unwrap_or(0.0)
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        // s_1 and s_2 set the steal rate seen by every level.
+        Some(tail_pattern(self.levels, 1, 1, &[1, 2]))
     }
 }
 

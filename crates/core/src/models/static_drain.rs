@@ -19,11 +19,13 @@
 //! `i = 1` flow only carries `λ_ext`.
 
 use loadsteal_ode::solver::Control;
-use loadsteal_ode::{AdaptiveOptions, DormandPrince45, IntegrationError, OdeSystem};
+use loadsteal_ode::{
+    AdaptiveOptions, DormandPrince45, IntegrationError, JacobianPattern, OdeSystem,
+};
 
 use crate::tail::TailVector;
 
-use super::MeanFieldModel;
+use super::{tail_pattern, MeanFieldModel};
 
 /// Mean-field model with split external/internal arrivals; supports the
 /// static (`λ_ext = 0`) drain regime.
@@ -165,6 +167,10 @@ impl MeanFieldModel for StaticDrain {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         y.last().copied().unwrap_or(0.0)
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        Some(tail_pattern(self.levels, 1, 1, &[1, 2]))
     }
 }
 

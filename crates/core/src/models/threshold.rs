@@ -15,12 +15,12 @@
 //! to `T`, and geometric tails at ratio `λ/(1 + λ − π_2)` beyond `T`.
 //! `T = 2` recovers the simple WS model exactly.
 
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
 use crate::fixed_point::FixedPoint;
 use crate::tail::TailVector;
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, tail_pattern, MeanFieldModel};
 
 /// Mean-field model of threshold-`T` work stealing.
 ///
@@ -130,6 +130,7 @@ impl ThresholdWs {
         FixedPoint {
             residual,
             polished: true,
+            newton_iterations: 0,
             mean_tasks: self.closed_form_mean_tasks(),
             mean_time_in_system: self.closed_form_mean_time(),
             task_tails: std::iter::once(1.0).chain(state.iter().copied()).collect(),
@@ -212,6 +213,10 @@ impl MeanFieldModel for ThresholdWs {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         y.last().copied().unwrap_or(0.0)
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        Some(tail_pattern(self.levels, 1, 1, &[1, 2, self.threshold]))
     }
 }
 

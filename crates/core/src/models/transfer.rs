@@ -21,7 +21,7 @@
 //! singular). The mean number of tasks per processor counts the tasks in
 //! transit: `L = Σ_{i≥1}(s_i + w_i) + w_0`.
 
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
 use super::{check_lambda, default_truncation, MeanFieldModel};
 
@@ -189,6 +189,21 @@ impl MeanFieldModel for TransferWs {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         self.s(y, self.levels).max(self.w(y, self.levels))
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        // Order s_0, s_1, w_1, s_2, w_2, …: s_i couples s_{i±1} and
+        // w_{i−1}, w_i couples w_{i±1} (w_0 = 1 − s_0), all within two
+        // positions. The steal terms read s_1, s_2, s_T and w_T.
+        let (l, t) = (self.levels, self.threshold);
+        let order = std::iter::once(0)
+            .chain((1..=l).flat_map(|i| [i, l + i]))
+            .collect();
+        Some(
+            JacobianPattern::banded(2 * l + 1, 2, 2)
+                .with_globals([1, 2, t, l + t])
+                .with_order(order),
+        )
     }
 }
 

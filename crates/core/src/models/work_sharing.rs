@@ -22,11 +22,11 @@
 //! [`WorkSharing::forward_rate`] expose the message-cost side of the
 //! comparison.
 
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
 use crate::tail::TailVector;
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, tail_pattern, MeanFieldModel};
 
 /// Mean-field model of sender-initiated work sharing.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,6 +157,15 @@ impl MeanFieldModel for WorkSharing {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         y.last().copied().unwrap_or(0.0)
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        Some(tail_pattern(
+            self.levels,
+            1,
+            1,
+            &[self.send_threshold, self.recv_threshold],
+        ))
     }
 }
 

@@ -54,7 +54,7 @@
 //! | `speeds` | `homogeneous`, `classes:<fast-fraction>:<fast-rate>:<slow-rate>` |
 
 use loadsteal_obs::Recorder;
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 
 use crate::fixed_point::{solve, solve_traced, FixedPoint, FixedPointOptions};
 use crate::models::{
@@ -829,6 +829,9 @@ impl MeanFieldModel for AnyModel {
     }
     fn mean_time_in_system(&self, y: &[f64]) -> f64 {
         delegate!(self, m => m.mean_time_in_system(y))
+    }
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        delegate!(self, m => m.jacobian_pattern())
     }
 }
 

@@ -4,7 +4,7 @@
 use loadsteal_core::fixed_point::{solve, FixedPointOptions, SolveError};
 use loadsteal_core::models::{MeanFieldModel, SimpleWs};
 use loadsteal_ode::solver::SteadyStateOptions;
-use loadsteal_ode::{AdaptiveOptions, DormandPrince45, IntegrationError, OdeSystem};
+use loadsteal_ode::{AdaptiveOptions, DormandPrince45, IntegrationError, NewtonOptions, OdeSystem};
 
 #[test]
 fn truncation_cap_is_reported() {
@@ -41,7 +41,11 @@ fn short_integration_horizon_is_not_converged() {
             t_max: 0.5, // hopeless: relaxation needs hundreds of units
             min_time: 0.0,
         },
-        newton_max_dim: 0, // and no Newton rescue
+        // and no Newton rescue
+        newton: NewtonOptions {
+            max_iters: 0,
+            ..NewtonOptions::default()
+        },
         ..FixedPointOptions::default()
     };
     match solve(&m, &opts) {
@@ -68,6 +72,26 @@ fn newton_rescues_short_integration() {
     assert!(fp.polished, "Newton did not run");
     let exact = SimpleWs::new(0.5).unwrap().closed_form_mean_time();
     assert!((fp.mean_time_in_system - exact).abs() < 1e-8);
+}
+
+#[test]
+fn heavy_traffic_is_newton_polished() {
+    // λ = 0.99 truncates at ~3200 levels; the structured Jacobian makes
+    // the polish cheap at that size, and it must land on the closed form.
+    // The system is ill-conditioned: stopping Newton as soon as the
+    // residual drops below its 1e-13 threshold leaves W off by ~6e-12,
+    // iterating to the residual floor gets ~3e-15.
+    let m = SimpleWs::new(0.99).unwrap();
+    let fp = solve(&m, &FixedPointOptions::default()).unwrap();
+    assert!(fp.polished, "integration only at dim {}", fp.state.len());
+    assert!(fp.newton_iterations > 0);
+    let exact = m.closed_form_mean_time();
+    let rel = (fp.mean_time_in_system - exact).abs() / exact;
+    assert!(
+        rel < 1e-12,
+        "W = {} vs closed form {exact}",
+        fp.mean_time_in_system
+    );
 }
 
 #[test]

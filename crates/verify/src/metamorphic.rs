@@ -119,9 +119,9 @@ fn no_steal_is_mm1() -> Outcome {
 }
 
 /// Mean sojourn time must be strictly increasing in λ (more load, more
-/// waiting) — checked on the simple-WS family.
+/// waiting) — checked on the simple-WS family up to heavy traffic.
 fn sojourn_monotone_in_lambda() -> Outcome {
-    let lambdas = [0.5, 0.7, 0.8, 0.9, 0.95];
+    let lambdas = [0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999];
     let mut ws = Vec::new();
     for &l in &lambdas {
         let m = SimpleWs::new(l).unwrap();
@@ -195,6 +195,60 @@ fn simple_ws_closed_form() -> Outcome {
     }
 }
 
+/// Heavy traffic, where truncations reach thousands of levels and the
+/// fixed-point system is ill-conditioned: simple WS (Section 2.2's
+/// geometric tails) and no stealing (M/M/1, `W = 1/(1 − λ)`) must still
+/// match their closed forms to 1e-10 relative in `W`.
+fn heavy_traffic_closed_forms() -> Outcome {
+    const REL_TOL: f64 = 1e-10;
+    let mut worst = (0.0_f64, String::new());
+    let mut problems = Vec::new();
+    for lambda in [0.9, 0.99, 0.999] {
+        let simple = SimpleWs::new(lambda).unwrap();
+        let cases = [
+            (
+                "simple-ws",
+                solve(&simple, &FixedPointOptions::default()),
+                simple.closed_form_mean_time(),
+            ),
+            (
+                "no-steal",
+                solve(
+                    &NoSteal::new(lambda).unwrap(),
+                    &FixedPointOptions::default(),
+                ),
+                1.0 / (1.0 - lambda),
+            ),
+        ];
+        for (name, fp, exact) in cases {
+            let label = format!("{name}(λ={lambda})");
+            match fp {
+                Ok(fp) => {
+                    let rel = (fp.mean_time_in_system - exact).abs() / exact;
+                    if rel > worst.0 {
+                        worst = (rel, label.clone());
+                    }
+                    if rel.is_nan() || rel > REL_TOL {
+                        problems.push(format!(
+                            "{label}: W = {} vs closed form {exact} (relative error {rel:.2e})",
+                            fp.mean_time_in_system
+                        ));
+                    }
+                }
+                Err(e) => problems.push(format!("{label}: solve failed: {e}")),
+            }
+        }
+    }
+    if problems.is_empty() {
+        Outcome::Pass(format!(
+            "W at λ ∈ {{0.9, 0.99, 0.999}} to {:.1e} relative (worst {})",
+            worst.0, worst.1
+        ))
+    } else {
+        Outcome::Fail(problems.join("; "))
+    }
+}
+
 /// Build the metamorphic check family.
 pub fn checks(settings: &Settings) -> Vec<Check> {
     let s1 = settings.clone();
@@ -217,6 +271,11 @@ pub fn checks(settings: &Settings) -> Vec<Check> {
             "metamorphic",
             "simple-ws-closed-form",
             simple_ws_closed_form,
+        ),
+        Check::new(
+            "metamorphic",
+            "heavy-traffic-closed-forms",
+            heavy_traffic_closed_forms,
         ),
     ]
 }

@@ -13,7 +13,7 @@
 use loadsteal_core::fixed_point::{solve, FixedPointOptions};
 use loadsteal_core::models::MeanFieldModel;
 use loadsteal_core::TailVector;
-use loadsteal_ode::OdeSystem;
+use loadsteal_ode::{JacobianPattern, OdeSystem};
 use loadsteal_sim::SimConfig;
 
 use crate::harness::Settings;
@@ -115,6 +115,11 @@ impl MeanFieldModel for SabotagedSimpleWs {
 
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         y.last().copied().unwrap_or(0.0)
+    }
+
+    fn jacobian_pattern(&self) -> Option<JacobianPattern> {
+        // Same coupling as the honest model, so both solve alike.
+        Some(JacobianPattern::banded(self.levels, 1, 1).with_globals([0, 1]))
     }
 }
 
