@@ -29,12 +29,12 @@ fn stderr(out: &Output) -> String {
 // JSON access over the workspace's own parser.
 
 /// Parse one JSON document, failing the test loudly on invalid input.
-fn parse_json(s: &str) -> JsonValue {
+fn parse_json(s: &str) -> JsonValue<'_> {
     json::parse(s).unwrap_or_else(|e| panic!("invalid JSON ({e}) in {s:?}"))
 }
 
 /// The member at `path` (one object key per step).
-fn at<'a>(v: &'a JsonValue, path: &[&str]) -> &'a JsonValue {
+fn at<'a>(v: &'a JsonValue<'a>, path: &[&str]) -> &'a JsonValue<'a> {
     path.iter().fold(v, |v, key| {
         v.get(key)
             .unwrap_or_else(|| panic!("missing key {key:?} of {path:?} in {v:?}"))
@@ -177,7 +177,8 @@ fn quiet_silences_the_narrative() {
     let out = loadsteal(&quick_sim_with(&["--quiet", "--metrics-json", "-"]));
     assert!(out.status.success(), "{}", stderr(&out));
     assert_eq!(stderr(&out), "", "narrative should be silenced");
-    let doc = parse_json(stdout(&out).trim_end());
+    let text = stdout(&out);
+    let doc = parse_json(text.trim_end());
     assert_eq!(string(&doc, &["schema"]), "loadsteal.run.v1");
 }
 
@@ -218,7 +219,8 @@ fn trace_and_metrics_cannot_both_claim_stdout() {
 fn metrics_json_carries_sojourn_quantile_sketch() {
     let out = loadsteal(&quick_sim_with(&["--quiet", "--metrics-json", "-"]));
     assert!(out.status.success(), "{}", stderr(&out));
-    let doc = parse_json(stdout(&out).trim_end());
+    let text = stdout(&out);
+    let doc = parse_json(text.trim_end());
     let sketch = at(&doc, &["metrics", "sketches", "sim.sojourn_time"]);
     assert!(num(sketch, &["count"]) > 100.0);
     let (p50, p90, p99) = (
@@ -430,7 +432,8 @@ fn solve_also_emits_a_run_document() {
         "-",
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
-    let doc = parse_json(stdout(&out).trim_end());
+    let text = stdout(&out);
+    let doc = parse_json(text.trim_end());
     let counters = at(&doc, &["metrics", "counters"]);
     assert!(num(counters, &["solver.steps_accepted"]) > 0.0);
     let gauges = at(&doc, &["metrics", "gauges"]);

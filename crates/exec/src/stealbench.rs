@@ -444,8 +444,8 @@ mod tests {
             cfg.workers + 1,
             16,
         ));
-        let out = run_once(&cfg, Arc::clone(&sharded) as Arc<dyn ShardSink>)
-            .expect("sharded bench runs");
+        let out =
+            run_once(&cfg, Arc::clone(&sharded) as Arc<dyn ShardSink>).expect("sharded bench runs");
         assert!(sharded.spilled() > 0, "16-event shards must spill");
         let recorded = sharded.recorded();
         let events = Arc::try_unwrap(sharded)

@@ -196,9 +196,20 @@ impl Event {
     }
 
     /// Render the event as a single-line JSON object (no trailing
-    /// newline) — the NDJSON wire format.
+    /// newline) — the NDJSON wire format: the bytes
+    /// [`Event::write_json`] appends, in a fresh string.
     pub fn to_json_line(&self) -> String {
-        let mut j = JsonBuf::new();
+        let mut line = String::new();
+        self.write_json(&mut line);
+        line
+    }
+
+    /// Append the event's NDJSON line (no trailing newline) to `out`,
+    /// leaving what `out` already holds in place. Recorders render
+    /// straight into their output buffer this way, so encoding an
+    /// event allocates nothing once the buffer has grown.
+    pub fn write_json(&self, out: &mut String) {
+        let mut j = JsonBuf::appending(std::mem::take(out));
         j.begin_obj().field_str("ev", self.name());
         match *self {
             Self::SolverStep {
@@ -294,7 +305,7 @@ impl Event {
             }
         }
         j.end_obj();
-        j.finish()
+        *out = j.finish();
     }
 }
 

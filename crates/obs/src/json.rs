@@ -11,29 +11,56 @@
 //! byte-positioned error instead of smuggling non-finite floats into
 //! downstream analysis (Rust's `f64::from_str` would happily accept
 //! them).
+//!
+//! Both directions are built for the per-line trace path: the writer
+//! can append to a caller's reusable buffer ([`JsonBuf::appending`])
+//! and formats numbers in place, and a parsed [`JsonValue`] borrows its
+//! strings from the input, copying only strings that hold an escape.
+
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// An append-only JSON document builder.
 ///
 /// Objects and arrays are opened/closed explicitly; the builder tracks
-/// whether a separator comma is needed at each nesting level. Misuse
-/// (closing more than was opened) panics in debug builds and produces
-/// invalid JSON in release — callers are internal and tested.
+/// whether a separator comma is needed at each nesting level. Scopes
+/// nest at most 64 deep (deeper panics). Closing more than was opened
+/// panics in debug builds and produces invalid JSON in release —
+/// callers are internal and tested.
 #[derive(Debug, Default)]
 pub struct JsonBuf {
     out: String,
-    /// One "needs a comma before the next item" flag per open scope.
-    stack: Vec<bool>,
+    /// One "needs a comma before the next item" bit per open scope, the
+    /// innermost at bit `depth - 1`: a bit set rather than a stack, so
+    /// rendering a document allocates nothing beyond `out` itself.
+    commas: u64,
+    depth: u32,
 }
 
 impl JsonBuf {
+    /// Deepest scope nesting the builder tracks: one bit of `commas`
+    /// per scope.
+    const MAX_DEPTH: u32 = u64::BITS;
+
     /// Fresh empty buffer.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Consume the builder, returning the document.
+    /// Continue at the end of `out`: [`JsonBuf::finish`] hands back
+    /// `out` with the document appended, so one buffer can collect
+    /// many documents without a fresh allocation for each.
+    pub fn appending(out: String) -> Self {
+        Self {
+            out,
+            ..Self::default()
+        }
+    }
+
+    /// Consume the builder, returning the document (after whatever
+    /// [`JsonBuf::appending`] started from).
     pub fn finish(self) -> String {
-        debug_assert!(self.stack.is_empty(), "unclosed JSON scopes");
+        debug_assert!(self.depth == 0, "unclosed JSON scopes");
         self.out
     }
 
@@ -47,43 +74,56 @@ impl JsonBuf {
         self.out.is_empty()
     }
 
-    fn sep(&mut self) {
-        if let Some(needs) = self.stack.last_mut() {
-            if *needs {
-                self.out.push(',');
-            }
-            *needs = true;
+    /// The innermost scope's comma bit (0 at top level).
+    fn scope_bit(&self) -> u64 {
+        match self.depth {
+            0 => 0,
+            d => 1 << (d - 1),
         }
+    }
+
+    fn sep(&mut self) {
+        let bit = self.scope_bit();
+        if self.commas & bit != 0 {
+            self.out.push(',');
+        }
+        self.commas |= bit;
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.sep();
+        self.out.push(bracket);
+        assert!(self.depth < Self::MAX_DEPTH, "JSON nesting too deep");
+        self.depth += 1;
+        self.commas &= !self.scope_bit();
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        debug_assert!(self.depth > 0, "closing an unopened JSON scope");
+        self.depth = self.depth.saturating_sub(1);
+        self.out.push(bracket);
+        self
     }
 
     /// Open an object as the next value.
     pub fn begin_obj(&mut self) -> &mut Self {
-        self.sep();
-        self.out.push('{');
-        self.stack.push(false);
-        self
+        self.open('{')
     }
 
     /// Close the innermost object.
     pub fn end_obj(&mut self) -> &mut Self {
-        self.stack.pop();
-        self.out.push('}');
-        self
+        self.close('}')
     }
 
     /// Open an array as the next value.
     pub fn begin_arr(&mut self) -> &mut Self {
-        self.sep();
-        self.out.push('[');
-        self.stack.push(false);
-        self
+        self.open('[')
     }
 
     /// Close the innermost array.
     pub fn end_arr(&mut self) -> &mut Self {
-        self.stack.pop();
-        self.out.push(']');
-        self
+        self.close(']')
     }
 
     /// Write an object key; the next write supplies its value.
@@ -92,9 +132,7 @@ impl JsonBuf {
         write_escaped(&mut self.out, k);
         self.out.push(':');
         // The value that follows must not emit another comma.
-        if let Some(needs) = self.stack.last_mut() {
-            *needs = false;
-        }
+        self.commas &= !self.scope_bit();
         self
     }
 
@@ -111,7 +149,7 @@ impl JsonBuf {
         if v.is_finite() {
             // `{:?}` prints the shortest representation that round-trips,
             // which is also valid JSON for finite values.
-            self.out.push_str(&format!("{v:?}"));
+            let _ = write!(self.out, "{v:?}");
         } else {
             self.out.push_str("null");
         }
@@ -121,14 +159,14 @@ impl JsonBuf {
     /// Write a `u64` value.
     pub fn u64_val(&mut self, v: u64) -> &mut Self {
         self.sep();
-        self.out.push_str(&v.to_string());
+        let _ = write!(self.out, "{v}");
         self
     }
 
     /// Write an `i64` value.
     pub fn i64_val(&mut self, v: i64) -> &mut Self {
         self.sep();
-        self.out.push_str(&v.to_string());
+        let _ = write!(self.out, "{v}");
         self
     }
 
@@ -176,33 +214,47 @@ impl JsonBuf {
     }
 }
 
+/// Whether byte `b` may stand for itself inside a JSON string: all but
+/// `"`, `\` and the control characters. No byte of a multi-byte UTF-8
+/// scalar is ASCII, so those are all plain.
+fn is_plain(b: u8) -> bool {
+    b != b'"' && b != b'\\' && b >= 0x20
+}
+
 /// Escape `s` as a JSON string (with surrounding quotes) onto `out`.
+/// Runs of characters that need no escape are copied in one piece.
 pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if is_plain(b) {
+            continue;
+        }
+        // Every byte that needs an escape is ASCII, so `i` is a char
+        // boundary.
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
 // ---------------------------------------------------------------------
 // Parsing.
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value.
+/// A parsed JSON value, borrowing from the text it was parsed from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
+pub enum JsonValue<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
@@ -212,19 +264,22 @@ pub enum JsonValue {
     /// A non-negative integer token that fits `u64` — kept exact so
     /// values above 2^53 (e.g. 64-bit seeds) survive a round trip.
     Uint(u64),
-    /// A string.
-    Str(String),
+    /// A string: a slice of the input unless it held an escape, in
+    /// which case the decoded copy.
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object (duplicate keys: last wins).
-    Obj(BTreeMap<String, JsonValue>),
+    Arr(Vec<JsonValue<'a>>),
+    /// An object's members in input order, duplicate keys included
+    /// ([`JsonValue::get`] resolves a duplicate to the last).
+    Obj(Vec<(Cow<'a, str>, JsonValue<'a>)>),
 }
 
-impl JsonValue {
-    /// Object member lookup; `None` for non-objects or missing keys.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+impl JsonValue<'_> {
+    /// Object member lookup; `None` for non-objects or missing keys. A
+    /// duplicate key resolves to its last value.
+    pub fn get(&self, key: &str) -> Option<&Self> {
         match self {
-            Self::Obj(m) => m.get(key),
+            Self::Obj(members) => members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -287,8 +342,9 @@ impl std::error::Error for JsonError {}
 
 /// Parse one complete JSON value (trailing whitespace allowed, trailing
 /// garbage rejected).
-pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
+pub fn parse(s: &str) -> Result<JsonValue<'_>, JsonError> {
     let mut p = Parser {
+        src: s,
         s: s.as_bytes(),
         i: 0,
     };
@@ -301,11 +357,12 @@ pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     s: &'a [u8],
     i: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.i,
@@ -339,7 +396,7 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn lit(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
+    fn lit(&mut self, word: &str, v: JsonValue<'a>) -> Result<JsonValue<'a>, JsonError> {
         if self.s[self.i..].starts_with(word.as_bytes()) {
             self.i += word.len();
             Ok(v)
@@ -348,7 +405,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
+    fn value(&mut self) -> Result<JsonValue<'a>, JsonError> {
         match self.peek()? {
             b'{' => self.object(),
             b'[' => self.array(),
@@ -361,9 +418,10 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
+    fn object(&mut self) -> Result<JsonValue<'a>, JsonError> {
         self.eat(b'{')?;
-        let mut m = BTreeMap::new();
+        // Enough for every trace line's members in one allocation.
+        let mut m = Vec::with_capacity(8);
         if self.peek()? == b'}' {
             self.i += 1;
             return Ok(JsonValue::Obj(m));
@@ -374,7 +432,7 @@ impl Parser<'_> {
             }
             let k = self.string()?;
             self.eat(b':')?;
-            m.insert(k, self.value()?);
+            m.push((k, self.value()?));
             match self.peek()? {
                 b',' => self.i += 1,
                 b'}' => {
@@ -386,7 +444,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
+    fn array(&mut self) -> Result<JsonValue<'a>, JsonError> {
         self.eat(b'[')?;
         let mut v = Vec::new();
         if self.peek()? == b']' {
@@ -406,9 +464,20 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string token: borrowed when it holds no escape, decoded into
+    /// a copy from the first escape on.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let start = self.i;
+        self.skip_plain();
+        // The scan stopped at an ASCII byte or the end, so both slice
+        // bounds are char boundaries.
+        if self.s.get(self.i) == Some(&b'"') {
+            let text = &self.src[start..self.i];
+            self.i += 1;
+            return Ok(Cow::Borrowed(text));
+        }
+        let mut out = String::from(&self.src[start..self.i]);
         loop {
             let b = *self
                 .s
@@ -417,7 +486,7 @@ impl Parser<'_> {
             match b {
                 b'"' => {
                     self.i += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 b'\\' => {
                     self.i += 1;
@@ -461,25 +530,26 @@ impl Parser<'_> {
                 }
                 0x00..=0x1f => return Err(self.err("raw control character in string")),
                 _ => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // continuation bytes are always well-formed).
-                    let start = self.i;
-                    self.i += 1;
-                    while self.s.get(self.i).is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.i += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.s[start..self.i]).expect("valid UTF-8"));
+                    let run = self.i;
+                    self.skip_plain();
+                    out.push_str(&self.src[run..self.i]);
                 }
             }
+        }
+    }
+
+    /// Advance over string bytes that need no decoding.
+    fn skip_plain(&mut self) {
+        while self.s.get(self.i).is_some_and(|&b| is_plain(b)) {
+            self.i += 1;
         }
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.i + 4;
         let hex = self
-            .s
+            .src
             .get(self.i..end)
-            .and_then(|h| std::str::from_utf8(h).ok())
             .ok_or_else(|| self.err("truncated \\u escape"))?;
         let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
         self.i = end;
@@ -489,9 +559,10 @@ impl Parser<'_> {
     /// Parse a number following the JSON grammar exactly — so `NaN`,
     /// `Infinity`, `01`, `.5`, and `1.` are all rejected — then refuse
     /// any value that overflows to an infinity.
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    fn number(&mut self) -> Result<JsonValue<'a>, JsonError> {
         let start = self.i;
-        if self.s.get(self.i) == Some(&b'-') {
+        let negative = self.s.get(self.i) == Some(&b'-');
+        if negative {
             self.i += 1;
         }
         // Integer part: `0` or a nonzero digit followed by digits.
@@ -504,6 +575,7 @@ impl Parser<'_> {
             }
             _ => return Err(self.err("malformed number")),
         }
+        let integral = !matches!(self.s.get(self.i), Some(b'.' | b'e' | b'E'));
         if self.s.get(self.i) == Some(&b'.') {
             self.i += 1;
             if !self.s.get(self.i).is_some_and(u8::is_ascii_digit) {
@@ -525,9 +597,10 @@ impl Parser<'_> {
                 self.i += 1;
             }
         }
-        let text = std::str::from_utf8(&self.s[start..self.i]).expect("ASCII number");
+        // The token is ASCII, so its bounds are char boundaries.
+        let text = &self.src[start..self.i];
         // A plain non-negative integer token that fits u64 stays exact.
-        if !text.starts_with('-') && !text.contains(['.', 'e', 'E']) {
+        if !negative && integral {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(JsonValue::Uint(n));
             }
@@ -566,6 +639,31 @@ mod tests {
             j.finish(),
             r#"{"name":"run","seed":42,"tails":[1.0,0.5],"inner":{"ok":true}}"#
         );
+    }
+
+    #[test]
+    fn every_scope_up_to_max_depth_keeps_its_own_commas() {
+        let mut j = JsonBuf::appending("prefix ".to_owned());
+        for _ in 0..JsonBuf::MAX_DEPTH {
+            j.begin_arr().u64_val(1);
+        }
+        for _ in 0..JsonBuf::MAX_DEPTH {
+            j.end_arr().u64_val(2);
+        }
+        let deeper = JsonBuf::MAX_DEPTH as usize - 1;
+        let nested = format!("[1{}{}]", ",[1".repeat(deeper), "],2".repeat(deeper));
+        // The last `2` follows the outermost array at top level.
+        assert_eq!(j.finish(), format!("prefix {nested}2"));
+        assert!(parse(&nested).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "JSON nesting too deep")]
+    fn nesting_past_max_depth_panics() {
+        let mut j = JsonBuf::new();
+        for _ in 0..=JsonBuf::MAX_DEPTH {
+            j.begin_obj();
+        }
     }
 
     #[test]

@@ -230,11 +230,17 @@ impl<W: Write> NdjsonRecorder<W> {
     /// toward [`NdjsonRecorder::lines`] and shares the batching and
     /// sticky-error behavior.
     pub fn write_line(&mut self, line: &str) {
+        self.append(|buf| buf.push_str(line));
+    }
+
+    /// Count one line and, unless an earlier write failed, `render` it
+    /// onto the batch; push the batch once it is full.
+    fn append(&mut self, render: impl FnOnce(&mut String)) {
         self.lines += 1;
         if self.error.is_some() {
             return;
         }
-        self.buf.push_str(line);
+        render(&mut self.buf);
         self.buf.push('\n');
         if self.buf.len() >= Self::BATCH_BYTES {
             self.write_batch();
@@ -257,7 +263,7 @@ impl<W: Write> NdjsonRecorder<W> {
 
 impl<W: Write> Recorder for NdjsonRecorder<W> {
     fn record(&mut self, ev: &Event) {
-        self.write_line(&ev.to_json_line());
+        self.append(|buf| ev.write_json(buf));
     }
 
     fn flush(&mut self) {

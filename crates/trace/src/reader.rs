@@ -113,52 +113,93 @@ pub enum Record {
 /// invalid byte — in strict mode as the fatal [`TraceError`], in lossy
 /// mode as a diagnostic while every decodable line still parses. A
 /// failed read of `input` is fatal in both modes.
+///
+/// Lines are parsed where they lie in `input`'s buffer; only a line
+/// that straddles a refill is copied, so reading allocates nothing per
+/// line beyond the parsed object's member list.
 pub fn read_into(
     mut input: impl BufRead,
     mode: ReadMode,
     sink: &mut dyn Recorder,
 ) -> Result<ParsedTrace, TraceError> {
     let mut out = ParsedTrace::default();
-    let mut buf = Vec::new();
-    for line_no in 1.. {
-        buf.clear();
-        let read = input.read_until(b'\n', &mut buf).map_err(|e| TraceError {
-            line: line_no,
-            column: 1,
-            message: format!("cannot read input: {e}"),
-        })?;
-        if read == 0 {
-            break;
-        }
-        let raw = buf.strip_suffix(b"\n").unwrap_or(&buf);
-        let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
-        let record = match std::str::from_utf8(raw) {
-            Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => parse_record(line),
-            Err(e) => Err((e.valid_up_to() + 1, "invalid UTF-8".to_owned())),
-        };
-        out.lines += 1;
-        match record {
-            Ok(Record::Event(ev)) => sink.record(&ev),
-            Ok(Record::Header(h)) => {
-                out.header.get_or_insert(h);
+    let mut line_no = 0;
+    // The head of a line that the buffer's end cut off.
+    let mut carry = Vec::new();
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => {
+                return Err(TraceError {
+                    line: line_no + 1,
+                    column: 1,
+                    message: format!("cannot read input: {e}"),
+                })
             }
-            Ok(Record::Span(s)) => out.spans.push(s),
-            Ok(Record::Panic(p)) => out.panics.push(p),
-            Err((column, message)) => {
-                let diag = TraceError {
-                    line: line_no,
-                    column,
-                    message,
-                };
-                match mode {
-                    ReadMode::Strict => return Err(diag),
-                    ReadMode::Lossy => out.skipped.push(diag),
-                }
+        };
+        if chunk.is_empty() {
+            // End of input: a last line without a newline.
+            if !carry.is_empty() {
+                take_line(&mut out, &carry, line_no + 1, mode, sink)?;
+            }
+            return Ok(out);
+        }
+        let mut rest = chunk;
+        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+            line_no += 1;
+            if carry.is_empty() {
+                take_line(&mut out, &rest[..nl], line_no, mode, sink)?;
+            } else {
+                carry.extend_from_slice(&rest[..nl]);
+                take_line(&mut out, &carry, line_no, mode, sink)?;
+                carry.clear();
+            }
+            rest = &rest[nl + 1..];
+        }
+        carry.extend_from_slice(rest);
+        let used = chunk.len();
+        input.consume(used);
+    }
+}
+
+/// Parse line `line_no` (its bytes without the `\n`) into `sink` or
+/// `out`; a malformed line is fatal in strict mode and a diagnostic in
+/// lossy mode.
+fn take_line(
+    out: &mut ParsedTrace,
+    raw: &[u8],
+    line_no: usize,
+    mode: ReadMode,
+    sink: &mut dyn Recorder,
+) -> Result<(), TraceError> {
+    let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
+    let record = match std::str::from_utf8(raw) {
+        Ok(line) if line.trim().is_empty() => return Ok(()),
+        Ok(line) => parse_record(line),
+        Err(e) => Err((e.valid_up_to() + 1, "invalid UTF-8".to_owned())),
+    };
+    out.lines += 1;
+    match record {
+        Ok(Record::Event(ev)) => sink.record(&ev),
+        Ok(Record::Header(h)) => {
+            out.header.get_or_insert(h);
+        }
+        Ok(Record::Span(s)) => out.spans.push(s),
+        Ok(Record::Panic(p)) => out.panics.push(p),
+        Err((column, message)) => {
+            let diag = TraceError {
+                line: line_no,
+                column,
+                message,
+            };
+            match mode {
+                ReadMode::Strict => return Err(diag),
+                ReadMode::Lossy => out.skipped.push(diag),
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Parse a raw byte buffer (e.g. straight from [`std::fs::read`])
@@ -648,6 +689,70 @@ mod tests {
         assert_eq!(err.line, 2);
         assert_eq!(err.column, 8); // byte offset 7 of the bad token, 1-based
         assert!(err.to_string().contains("line 2"), "{err}");
+    }
+
+    /// Serves `data` five bytes at a time after one interrupted read,
+    /// and fails for good at byte `fail_at`.
+    struct Flaky {
+        data: &'static [u8],
+        pos: usize,
+        interrupted: bool,
+        fail_at: usize,
+    }
+
+    impl std::io::Read for Flaky {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = std::io::Read::read(&mut self.fill_buf()?, buf)?;
+            self.consume(n);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for Flaky {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            if !std::mem::replace(&mut self.interrupted, true) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            if self.pos >= self.fail_at {
+                return Err(std::io::Error::other("device gone"));
+            }
+            Ok(&self.data[self.pos..(self.pos + 5).min(self.fail_at)])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.pos += n;
+        }
+    }
+
+    #[test]
+    fn read_errors_name_the_line_being_read_and_interrupts_retry() {
+        let data: &[u8] = b"{\"ev\":\"arrival\",\"t\":0.5,\"proc\":0}\n\n\
+{\"ev\":\"arrival\",\"t\":1.5,\"proc\":2}\r\n{\"ev\":\"completion\",\"t\":2.5,\"proc\":2}\n";
+        let mut events = CollectingRecorder::new();
+        let whole = Flaky {
+            data,
+            pos: 0,
+            interrupted: false,
+            fail_at: data.len(),
+        };
+        let parsed = read_into(whole, ReadMode::Strict, &mut events).unwrap_err();
+        // Every line arrived before the device failed at the very end.
+        assert_eq!(events.events().len(), 3);
+        assert_eq!((parsed.line, parsed.column), (5, 1), "{parsed}");
+        let cut = Flaky {
+            data,
+            pos: 0,
+            interrupted: false,
+            fail_at: data.len() - 10,
+        };
+        let mut events = CollectingRecorder::new();
+        let err = read_into(cut, ReadMode::Lossy, &mut events).unwrap_err();
+        assert_eq!(events.events().len(), 2);
+        assert_eq!(err.line, 4, "{err}");
+        assert!(
+            err.message.contains("cannot read input: device gone"),
+            "{err}"
+        );
     }
 
     #[test]

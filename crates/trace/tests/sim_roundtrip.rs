@@ -175,3 +175,97 @@ fn live_analysis_equals_the_trace_file_route() {
     assert!(live[1].contains("longest_chain_job: Some("), "{}", live[1]);
     assert!(live[2].len() > 1_000, "{}", live[2]);
 }
+
+/// FNV-1a (64-bit): a stable digest for pinning trace bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The `replicate_done` line carries wall-clock fields (`wall_ms`,
+/// `events_per_sec`); cut it after its seed so the rest of the trace
+/// can be pinned.
+fn without_wall_clock(trace: &str) -> String {
+    trace
+        .lines()
+        .map(|line| match line.find(",\"wall_ms\":") {
+            Some(at) if line.starts_with("{\"ev\":\"replicate_done\"") => {
+                format!("{}}}\n", &line[..at])
+            }
+            _ => format!("{line}\n"),
+        })
+        .collect()
+}
+
+/// Pins every rendered byte of a fixed-seed trace: a header, then two
+/// small runs with job tracing, tail sampling and frequent heartbeats,
+/// one with transfer delays (job migrations carry `delay`) and one with
+/// batch steals (migrations carry `count`), each closed by its
+/// `replicate_done` line. The digest was captured before the encoder
+/// was rewritten to append in place; any drift in float, integer,
+/// escape or field rendering changes it.
+#[test]
+fn fixed_seed_trace_bytes_are_pinned() {
+    use loadsteal_obs::{SharedRecorder, TraceHeader};
+    use loadsteal_sim::{replicate_recorded, StealPolicy, TransferTime};
+
+    let mut delayed = SimConfig::paper_default(6, 0.75);
+    delayed.horizon = 60.0;
+    delayed.warmup = 6.0;
+    delayed.heartbeat_every = 64;
+    delayed.trace_jobs = true;
+    delayed.sample_tails = Some(2.5);
+    delayed.transfer = Some(TransferTime::exponential(4.0));
+    let mut batched = delayed.clone();
+    batched.transfer = None;
+    batched.policy = StealPolicy::OnEmpty {
+        threshold: 4,
+        choices: 2,
+        batch: 2,
+    };
+
+    let mut ndjson = NdjsonRecorder::new(Vec::new());
+    ndjson.write_line(
+        &TraceHeader {
+            model: Some("golden \"trace\"\tλ=0.75".into()),
+            n: Some(6),
+            seed: Some(u64::MAX),
+            runs: Some(2),
+            sample: None,
+        }
+        .to_json_line(),
+    );
+    let shared = SharedRecorder::new(ndjson);
+    replicate_recorded(&delayed, 1, 11, &shared);
+    replicate_recorded(&batched, 1, 12, &shared);
+    let (buf, err) = shared.try_into_inner().expect("last handle").into_inner();
+    assert!(err.is_none());
+    let trace = without_wall_clock(&String::from_utf8(buf).unwrap());
+
+    for kind in [
+        "header",
+        "arrival",
+        "completion",
+        "steal_attempt",
+        "steal_success",
+        "migration",
+        "job_arrival",
+        "job_migrate",
+        "job_service_start",
+        "job_completion",
+        "tail_sample",
+        "heartbeat",
+        "replicate_done",
+    ] {
+        let tag = format!("{{\"ev\":\"{kind}\"");
+        assert!(trace.contains(&tag), "golden trace lacks {kind} lines");
+    }
+    assert!(trace.contains("\"delay\":"), "no delayed migration");
+    assert!(trace.contains("\"count\":2"), "no batch migration");
+    assert_eq!(
+        (trace.lines().count(), fnv1a(trace.as_bytes())),
+        (3293, 11_949_046_471_845_542_811),
+        "golden trace bytes drifted"
+    );
+}
